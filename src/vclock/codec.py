@@ -90,13 +90,19 @@ def decode(text: str) -> VClock:
             raise NumericFieldError(
                 f"count and timestamp must be decimal digits in entry {field!r}"
             )
-        count = int(count_text)
+        try:
+            count = int(count_text)
+            timestamp = int(timestamp_text)
+        except ValueError:  # more digits than int() converts by default
+            raise NumericFieldError(
+                f"count or timestamp has too many digits in entry {field[:40]!r}..."
+            ) from None
         if count < 1:
             raise CountRangeError(f"count must be >= 1 in entry {field!r}")
         if actor in seen:
             raise DuplicateActorError(f"duplicate actor {actor!r}")
         seen.add(actor)
-        entries.append((actor, count, int(timestamp_text)))
+        entries.append((actor, count, timestamp))
     return VClock(entries)
 
 

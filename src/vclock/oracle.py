@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import core
 from ._backend import kernels
-from .core import FixedClock, Ordering, PruneBounds, VClock
+from .core import _ORDERINGS, FixedClock, Ordering, PruneBounds, VClock
 
 __all__ = [
     "MAX_ENUM_ACTORS",
@@ -40,7 +40,6 @@ MAX_ENUM_ACTORS = 3
 
 _DOMINATED = kernels.DOMINATED
 _CONCURRENT = kernels.CONCURRENT
-_ORDERINGS = (Ordering.EQUAL, Ordering.DESCENDS, Ordering.DOMINATED, Ordering.CONCURRENT)
 _MIRROR = (Ordering.EQUAL, Ordering.DOMINATED, Ordering.DESCENDS, Ordering.CONCURRENT)
 
 
@@ -95,44 +94,28 @@ def actor_name(index: int) -> str:
     return f"a{index}"
 
 
-def _replay(
-    steps: Sequence[tuple[str, int | None]],
-    prune_at: Mapping[int, PruneBounds] | None = None,
-) -> list[VClock]:
-    """Compute every event's snapshot via core merge + increment.
-
-    Logical time is the event index. prune_at maps event ids to bounds
-    applied to that event's snapshot right after it is taken, for studying
-    the causality loss pruning introduces.
-    """
-    snapshots: list[VClock] = []
-    last_by_actor: dict[str, int] = {}
-    for i, (actor, received_from) in enumerate(steps):
-        base = core.fresh()
-        prev = last_by_actor.get(actor)
-        if prev is not None:
-            base = snapshots[prev]
-        if received_from is not None:
-            base = core.merge(base, snapshots[received_from])
-        snap = core.increment(actor, base, FixedClock(i))
-        if prune_at is not None and i in prune_at:
-            snap = core.prune(snap, i, prune_at[i])
-        snapshots.append(snap)
-        last_by_actor[actor] = i
-    return snapshots
-
-
 def build_history(
     steps: Sequence[tuple[str, int | None]],
     prune_at: Mapping[int, PruneBounds] | None = None,
+    *,
+    base: History | None = None,
 ) -> History:
     """Build a History from (actor, received_from) steps.
 
     received_from must point at an earlier event of a different actor.
-    Snapshots are replayed with logical time = event index; prune_at, when
-    given, is applied during the replay and the pruned snapshots are stored.
+    Snapshots are replayed through core merge + increment with logical
+    time = event index; prune_at maps event ids to bounds applied to that
+    event's snapshot right after it is taken, for studying the causality
+    loss pruning introduces. The pruned snapshots are stored.
+
+    With base, the steps extend base's events: ids continue after them, a
+    step may receive from any of them, and only the new steps are validated
+    and replayed. base's records are shared, not rebuilt. prune_at keys are
+    event ids either way, so keys below len(base) have no effect.
     """
-    for i, (actor, received_from) in enumerate(steps):
+    events = list(base.events) if base is not None else []
+    start = len(events)
+    for i, (actor, received_from) in enumerate(steps, start):
         if not core.is_valid_actor(actor):
             raise core.InvalidActorError(f"invalid actor token: {actor!r}")
         if received_from is not None:
@@ -140,34 +123,28 @@ def build_history(
                 raise ValueError(
                     f"event {i} receives from {received_from}, which is not an earlier event"
                 )
-            if steps[received_from][0] == actor:
+            if received_from < start:
+                sender = events[received_from].actor
+            else:
+                sender = steps[received_from - start][0]
+            if sender == actor:
                 raise ValueError(
                     f"event {i} receives from its own actor {actor!r}; messages cross actors"
                 )
-    last_by_actor: dict[str, int] = {}
-    actors: list[str] = []
-    records: list[EventRecord] = []
-    snapshots = _replay(steps, prune_at)
-    for i, (actor, received_from) in enumerate(steps):
-        preds = set()
+    # insertion order of the keys is the actors' order of first appearance
+    last_by_actor = {ev.actor: ev.id for ev in events}
+    for i, (actor, received_from) in enumerate(steps, start):
         prev = last_by_actor.get(actor)
-        if prev is not None:
-            preds.add(prev)
+        snap = core.fresh() if prev is None else events[prev].clock
         if received_from is not None:
-            preds.add(received_from)
-        if actor not in last_by_actor:
-            actors.append(actor)
-        records.append(
-            EventRecord(
-                id=i,
-                actor=actor,
-                received_from=received_from,
-                predecessors=frozenset(preds),
-                clock=snapshots[i],
-            )
-        )
+            snap = core.merge(snap, events[received_from].clock)
+        snap = core.increment(actor, snap, FixedClock(i))
+        if prune_at is not None and i in prune_at:
+            snap = core.prune(snap, i, prune_at[i])
+        preds = frozenset(p for p in (prev, received_from) if p is not None)
+        events.append(EventRecord(i, actor, received_from, preds, snap))
         last_by_actor[actor] = i
-    return History(events=tuple(records), actors=tuple(actors))
+    return History(events=tuple(events), actors=tuple(last_by_actor))
 
 
 def replay_clocks(
@@ -179,8 +156,7 @@ def replay_clocks(
     prune injection the result matches them exactly.
     """
     steps = [(ev.actor, ev.received_from) for ev in h.events]
-    snapshots = _replay(steps, prune_at)
-    return {i: snap for i, snap in enumerate(snapshots)}
+    return {ev.id: ev.clock for ev in build_history(steps, prune_at).events}
 
 
 def _ancestor_masks(h: History) -> list[int]:
@@ -251,24 +227,22 @@ def enumerate_histories(max_events: int, max_actors: int) -> Iterator[History]:
     if max_events < 0 or max_actors < 0:
         raise ValueError("bounds must be non-negative")
     names = [actor_name(i) for i in range(max_actors)]
-    steps: list[tuple[str, int | None]] = []
 
-    def grow(used: int) -> Iterator[History]:
-        depth = len(steps)
-        if depth == max_events:
+    def grow(parent: History, used: int) -> Iterator[History]:
+        if len(parent) == max_events:
             return
         for actor_idx in range(min(used + 1, max_actors)):
             actor = names[actor_idx]
             new_used = max(used, actor_idx + 1)
             sources: list[int | None] = [None]
-            sources.extend(j for j in range(depth) if steps[j][0] != actor)
+            sources.extend(ev.id for ev in parent.events if ev.actor != actor)
             for received_from in sources:
-                steps.append((actor, received_from))
-                yield build_history(tuple(steps))
-                yield from grow(new_used)
-                steps.pop()
+                # one replayed event per history: the child shares the parent's records
+                child = build_history(((actor, received_from),), base=parent)
+                yield child
+                yield from grow(child, new_used)
 
-    return grow(0)
+    return grow(History(events=(), actors=()), 0)
 
 
 def random_history(seed: int, events: int, actors: int) -> History:

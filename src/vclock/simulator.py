@@ -86,9 +86,12 @@ def _is_value_token(token: str) -> bool:
 
 
 def _parse_nonneg(token: str, what: str, line_no: int) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ScenarioError(f"line {line_no}: {what} must be a non-negative integer, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts by default
+        raise ScenarioError(f"line {line_no}: {what} has too many digits ({len(token)})") from None
 
 
 def parse_scenario(text: str) -> Scenario:

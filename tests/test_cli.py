@@ -45,6 +45,14 @@ def test_clock_descends_prints_lowercase_booleans(capsys):
     assert capsys.readouterr().out == "false\ntrue\n"
 
 
+def test_clock_compare_overlong_count_exits_two(capsys):
+    assert main(["clock", "compare", "a:" + "1" * 4301 + ":1", "a:1:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "too many digits" in captured.err
+
+
 def test_clock_increment(capsys):
     assert main(["clock", "increment", "a", "-", "--at", "77"]) == 0
     assert capsys.readouterr().out == "a:1:77\n"
@@ -111,6 +119,16 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
     path.write_text("replicas r1\nupdate r9 k v\n")
     assert main(["run", str(path)]) == 2
     assert "unknown replica" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["\u00b2", "1" * 4301], ids=["superscript", "overlong"])
+def test_run_bad_bound_digits_exit_two(tmp_path, capsys, bound):
+    path = tmp_path / "s.txt"
+    path.write_text(f"replicas r1\nbounds {bound} 1 0 0\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: bound ")
+    assert "Traceback" not in err
 
 
 def test_run_writes_report_file(tmp_path, capsys):

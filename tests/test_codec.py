@@ -68,6 +68,20 @@ def test_decode_rejects_non_numeric_fields():
         decode("a:²:2")
 
 
+# one past CPython's default limit on digits int() converts from a string
+OVERLONG = "1" * 4301
+
+
+def test_decode_rejects_overlong_count():
+    with pytest.raises(NumericFieldError, match="too many digits"):
+        decode(f"a:{OVERLONG}:5")
+
+
+def test_decode_rejects_overlong_timestamp():
+    with pytest.raises(NumericFieldError, match="too many digits"):
+        decode(f"a:1:{OVERLONG}")
+
+
 def test_decode_rejects_zero_count():
     with pytest.raises(CountRangeError):
         decode("a:0:5")

@@ -1,10 +1,12 @@
 """Oracle tests: reachability, replay, enumeration, equivalence."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 
-from vclock.core import Ordering, PruneBounds, VClock, equal, get_counter
+from vclock import oracle
+from vclock.core import InvalidActorError, Ordering, PruneBounds, VClock, equal, get_counter
 from vclock.oracle import (
     MAX_ENUM_ACTORS,
     MAX_ENUM_EVENTS,
@@ -120,6 +122,81 @@ def test_build_history_validates_receive_edges():
         build_history((("a", None), ("a", 0)))  # receive from own actor
     with pytest.raises(ValueError):
         build_history((("a", 0),))  # receive from the future
+
+
+# --- extending a base history ---------------------------------------------------
+
+
+def steps_of(h):
+    return tuple((ev.actor, ev.received_from) for ev in h.events)
+
+
+def test_enumerated_histories_equal_their_from_scratch_build():
+    count = 0
+    for h in enumerate_histories(5, 3):
+        assert h == build_history(steps_of(h))
+        count += 1
+    # the count the enumerator yielded when it rebuilt every history from scratch
+    assert count == 1913
+
+
+def test_enumerated_children_share_their_parents_records():
+    parents = {}
+    for h in enumerate_histories(4, 3):
+        if len(h) > 1:
+            parent = parents[steps_of(h)[:-1]]
+            assert all(a is b for a, b in zip(h.events, parent.events))
+        parents[steps_of(h)] = h
+
+
+# keys fall before, on and after the cut points below
+PRUNE_AT = {3: PruneBounds(1, 2, 0, 0), 17: PruneBounds(0, 1, 1, 2), 29: PruneBounds(1, 1, 0, 0)}
+
+
+@pytest.mark.parametrize("prune_at", [None, PRUNE_AT], ids=["unpruned", "pruned"])
+def test_extending_a_prefix_equals_the_one_shot_build(prune_at):
+    steps = steps_of(random_history(11, 40, 4))
+    whole = build_history(steps, prune_at)
+    for cut in (0, 1, 4, 17, 18, 30, 39, 40):
+        prefix = build_history(steps[:cut], prune_at)
+        assert build_history(steps[cut:], prune_at, base=prefix) == whole
+    if prune_at is not None:
+        assert whole != build_history(steps)
+
+
+def test_extension_continues_ids_and_actor_order():
+    base = build_history((("b", None), ("a", 0)))
+    h = build_history((("c", 1), ("b", None)), base=base)
+    assert [ev.id for ev in h.events] == [0, 1, 2, 3]
+    assert h.actors == ("b", "a", "c")
+    assert h.events[2].predecessors == frozenset({1})
+    assert h.events[3].predecessors == frozenset({0})
+    assert h.events[3].clock == vc(("b", 2, 3))
+
+
+def test_extension_raises_the_same_errors():
+    base = build_history((("a", None), ("b", 0)))
+    with pytest.raises(InvalidActorError):
+        build_history((("a b", None),), base=base)
+    with pytest.raises(ValueError, match="event 2 receives from 2, which is not an earlier"):
+        build_history((("c", 2),), base=base)
+    with pytest.raises(ValueError, match="not an earlier event"):
+        build_history((("c", -1),), base=base)
+    # the sender is inside base, and so is the receiver's own earlier event
+    with pytest.raises(ValueError, match="event 2 receives from its own actor 'a'"):
+        build_history((("a", 0),), base=base)
+    with pytest.raises(ValueError, match="event 3 receives from its own actor 'c'"):
+        build_history((("c", None), ("c", 2)), base=base)
+
+
+def test_extension_validates_every_step_before_replaying_any():
+    base = build_history((("a", None),))
+    with patch.object(oracle.core, "increment", wraps=oracle.core.increment) as increment:
+        with pytest.raises(InvalidActorError):
+            build_history((("b", 0), ("c", None), ("", None)), base=base)
+        with pytest.raises(ValueError, match="own actor"):
+            build_history((("b", 0), ("b", 1)), base=base)
+    assert increment.call_count == 0
 
 
 # --- check_equivalence ---------------------------------------------------------

@@ -83,6 +83,25 @@ def test_bad_bounds_rejected_at_load():
         parse_scenario("replicas r1\nbounds 0 1 0 0\nbounds 0 1 0 0\n")
 
 
+def test_numeric_tokens_must_be_ascii_digits():
+    # str.isdigit accepts superscripts and other scripts' digits; int() does not
+    for token in ("\u00b2", "\u0663", "-1", "+1", "1.0"):
+        with pytest.raises(ScenarioError, match="line 2: bound must be a non-negative integer"):
+            parse_scenario(f"replicas r1\nbounds {token} 1 0 0\n")
+        with pytest.raises(ScenarioError, match="line 3: sibling count"):
+            parse_scenario(f"replicas r1\nupdate r1 k v\nexpect siblings r1 k {token}\n")
+
+
+def test_overlong_numeric_tokens_rejected():
+    overlong = "1" * 4301
+    with pytest.raises(ScenarioError, match="line 2: bound has too many digits"):
+        parse_scenario(f"replicas r1\nbounds {overlong} 1 0 0\n")
+    with pytest.raises(ScenarioError, match="line 3: sibling index has too many digits"):
+        parse_scenario(
+            f"replicas r1\nupdate r1 k v\nexpect compare r1 k 0 {overlong} Equal\n"
+        )
+
+
 def test_arity_errors():
     for line in ("update r1 k", "sync r1 r2", "read r1", "prune r1", "expect siblings r1 k"):
         with pytest.raises(ScenarioError):
