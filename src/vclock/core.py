@@ -310,7 +310,7 @@ def prune(v: VClock, now: int, bounds: PruneBounds) -> VClock:
     than now - young. Survivors keep their counts and timestamps.
     """
     if not isinstance(bounds, PruneBounds):
-        bounds = PruneBounds(*bounds)
+        raise TypeError(f"prune bounds must be a PruneBounds, got {type(bounds).__name__}")
     if not isinstance(now, int) or now < 0:
         raise ValueError(f"prune now must be an integer >= 0, got {now!r}")
     entries = v.entries

@@ -10,7 +10,7 @@ the script alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import core
 from .codec import DecodeError, decode
@@ -79,12 +79,6 @@ class RunReport:
 _ORDERING_TOKENS = {o.value for o in Ordering}
 
 
-def _is_value_token(token: str) -> bool:
-    if not token:
-        return False
-    return all(ch.isprintable() and not ch.isspace() for ch in token)
-
-
 def _parse_nonneg(token: str, what: str, line_no: int) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ScenarioError(f"line {line_no}: {what} must be a non-negative integer, got {token!r}")
@@ -94,6 +88,39 @@ def _parse_nonneg(token: str, what: str, line_no: int) -> int:
         raise ScenarioError(f"line {line_no}: {what} has too many digits ({len(token)})") from None
 
 
+def _argument(kind: str, token: str, line_no: int, replicas: tuple, keys: set, left: list):
+    """Check one argument and return its value; `left` holds the arguments before it.
+
+    A "new key" joins `keys` at once: a later fault on its line fails the parse anyway.
+    """
+    if kind in ("replica", "other replica"):
+        if token not in replicas:
+            raise ScenarioError(f"line {line_no}: unknown replica {token!r}")
+        if kind == "other replica" and token == left[0]:
+            raise ScenarioError(f"line {line_no}: sync source and destination are the same")
+    elif kind == "known key":
+        if token not in keys:
+            raise ScenarioError(f"line {line_no}: key {token!r} is never written before this line")
+    elif kind == "new key":
+        if not core.is_valid_actor(token):
+            raise ScenarioError(f"line {line_no}: bad key token {token!r}")
+        keys.add(token)
+    elif kind == "value":
+        if not all(ch.isprintable() and not ch.isspace() for ch in token):
+            raise ScenarioError(f"line {line_no}: bad value token {token!r}")
+    elif kind == "clock text":
+        try:
+            return decode(token)
+        except DecodeError as exc:
+            raise ScenarioError(f"line {line_no}: bad clock text: {exc}") from exc
+    elif kind == "ordering":
+        if token not in _ORDERING_TOKENS:
+            raise ScenarioError(f"line {line_no}: unknown ordering token {token!r}")
+    else:  # "sibling count" or "sibling index"
+        return _parse_nonneg(token, kind, line_no)
+    return token
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario script.
 
@@ -101,133 +128,71 @@ def parse_scenario(text: str) -> Scenario:
     are skipped. Replicas must be declared before use; keys must be
     introduced by an earlier update before other commands may reference
     them; prune requires a bounds declaration. Any violation raises
-    ScenarioError with the line number.
+    ScenarioError with the line number. A command line is checked against its
+    _OPS entry: arity, then each argument's kind left to right, then bounds.
     """
-    replicas: tuple[str, ...] | None = None
+    replicas: tuple[str, ...] = ()
     bounds: PruneBounds | None = None
+    keys: set[str] = set()
     commands: list[Command] = []
-    known_keys: set[str] = set()
-
-    def require_replica(name: str, line_no: int) -> None:
-        if replicas is None or name not in replicas:
-            raise ScenarioError(f"line {line_no}: unknown replica {name!r}")
-
-    def require_key(key: str, line_no: int) -> None:
-        if key not in known_keys:
-            raise ScenarioError(f"line {line_no}: key {key!r} is never written before this line")
-
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        op = tokens[0]
+        op, *operands = line.split()
         if op == "replicas":
-            if replicas is not None:
+            if replicas:
                 raise ScenarioError(f"line {line_no}: duplicate replicas declaration")
-            names = tokens[1:]
-            if not names:
+            if not operands:
                 raise ScenarioError(f"line {line_no}: replicas needs at least one name")
-            for name in names:
+            for name in operands:
                 if not core.is_valid_actor(name):
                     raise ScenarioError(f"line {line_no}: bad replica name {name!r}")
-            if len(set(names)) != len(names):
+            if len(set(operands)) != len(operands):
                 raise ScenarioError(f"line {line_no}: duplicate replica name")
-            replicas = tuple(names)
-        elif op == "bounds":
+            replicas = tuple(operands)
+            continue
+        if op == "bounds":
             if bounds is not None:
                 raise ScenarioError(f"line {line_no}: duplicate bounds declaration")
-            if len(tokens) != 5:
+            if len(operands) != 4:
                 raise ScenarioError(f"line {line_no}: bounds takes small large young old")
-            values = [_parse_nonneg(t, "bound", line_no) for t in tokens[1:]]
+            values = [_parse_nonneg(t, "bound", line_no) for t in operands]
             try:
                 bounds = PruneBounds(*values)
             except ValueError as exc:
                 raise ScenarioError(f"line {line_no}: {exc}") from exc
-        elif op == "update":
-            if len(tokens) != 4:
-                raise ScenarioError(f"line {line_no}: update takes replica key value")
-            _, replica, key, value = tokens
-            require_replica(replica, line_no)
-            if not core.is_valid_actor(key):
-                raise ScenarioError(f"line {line_no}: bad key token {key!r}")
-            if not _is_value_token(value):
-                raise ScenarioError(f"line {line_no}: bad value token {value!r}")
-            known_keys.add(key)
-            commands.append(Command(line_no, "update", (replica, key, value)))
-        elif op == "sync":
-            if len(tokens) != 4:
-                raise ScenarioError(f"line {line_no}: sync takes src dst key")
-            _, src, dst, key = tokens
-            require_replica(src, line_no)
-            require_replica(dst, line_no)
-            if src == dst:
-                raise ScenarioError(f"line {line_no}: sync source and destination are the same")
-            require_key(key, line_no)
-            commands.append(Command(line_no, "sync", (src, dst, key)))
-        elif op == "read":
-            if len(tokens) != 3:
-                raise ScenarioError(f"line {line_no}: read takes replica key")
-            _, replica, key = tokens
-            require_replica(replica, line_no)
-            require_key(key, line_no)
-            commands.append(Command(line_no, "read", (replica, key)))
-        elif op == "prune":
-            if len(tokens) != 3:
-                raise ScenarioError(f"line {line_no}: prune takes replica key")
-            _, replica, key = tokens
-            require_replica(replica, line_no)
-            require_key(key, line_no)
-            if bounds is None:
-                raise ScenarioError(f"line {line_no}: prune used without a bounds declaration")
-            commands.append(Command(line_no, "prune", (replica, key)))
-        elif op == "expect":
-            if len(tokens) < 2:
+            continue
+        spec = _OPS.get(op)
+        if op == "expect":  # the one op of two words
+            if not operands:
                 raise ScenarioError(f"line {line_no}: expect needs an assertion kind")
-            kind = tokens[1]
-            if kind == "siblings":
-                if len(tokens) != 5:
-                    raise ScenarioError(f"line {line_no}: expect siblings takes replica key n")
-                _, _, replica, key, n_text = tokens
-                require_replica(replica, line_no)
-                require_key(key, line_no)
-                n = _parse_nonneg(n_text, "sibling count", line_no)
-                commands.append(Command(line_no, "expect_siblings", (replica, key, n)))
-            elif kind == "clock":
-                if len(tokens) != 5:
-                    raise ScenarioError(f"line {line_no}: expect clock takes replica key clock-text")
-                _, _, replica, key, clock_text = tokens
-                require_replica(replica, line_no)
-                require_key(key, line_no)
-                try:
-                    expected = decode(clock_text)
-                except DecodeError as exc:
-                    raise ScenarioError(f"line {line_no}: bad clock text: {exc}") from exc
-                commands.append(Command(line_no, "expect_clock", (replica, key, expected)))
-            elif kind == "compare":
-                if len(tokens) != 7:
-                    raise ScenarioError(
-                        f"line {line_no}: expect compare takes replica key i j ordering"
-                    )
-                _, _, replica, key, i_text, j_text, ordering = tokens
-                require_replica(replica, line_no)
-                require_key(key, line_no)
-                i = _parse_nonneg(i_text, "sibling index", line_no)
-                j = _parse_nonneg(j_text, "sibling index", line_no)
-                if ordering not in _ORDERING_TOKENS:
-                    raise ScenarioError(f"line {line_no}: unknown ordering token {ordering!r}")
-                commands.append(Command(line_no, "expect_compare", (replica, key, i, j, ordering)))
-            else:
-                raise ScenarioError(f"line {line_no}: unknown expect kind {kind!r}")
-        else:
+            assertion, *operands = operands
+            spec = _OPS.get(f"expect {assertion}")
+            if spec is None:
+                raise ScenarioError(f"line {line_no}: unknown expect kind {assertion!r}")
+        elif spec is None:
             raise ScenarioError(f"line {line_no}: unknown command {op!r}")
-    return Scenario(replicas=replicas or (), bounds=bounds, commands=tuple(commands))
+        if len(operands) != len(spec.kinds):
+            raise ScenarioError(f"line {line_no}: {spec.usage}")
+        args: list = []
+        for kind, token in zip(spec.kinds, operands):
+            args.append(_argument(kind, token, line_no, replicas, keys, args))
+        if spec.needs_bounds and bounds is None:
+            raise ScenarioError(f"line {line_no}: {spec.op} used without a bounds declaration")
+        commands.append(Command(line_no, spec.op, tuple(args)))
+    return Scenario(replicas=replicas, bounds=bounds, commands=tuple(commands))
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and parse a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Read and parse a scenario file; text that is not UTF-8 is a ScenarioError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
+    return parse_scenario(text)
 
 
 def _sibling_key(sibling: Sibling) -> tuple[str, str]:
@@ -291,10 +256,121 @@ def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
 
 
 @dataclass
-class _ReplicaState:
-    id: str
-    store: dict[str, list[Sibling]] = field(default_factory=dict)
-    logical_time: int = 0
+class _Run:
+    """One run's stores and assertion tally; each handler method runs one command."""
+
+    stores: dict[str, dict[str, list[Sibling]]]
+    bounds: PruneBounds | None
+    collapse: bool
+    passes: int = 0
+    fails: int = 0
+
+    def verdict(self, ok: bool, claim: str, why: str) -> str:
+        """Count one assertion and return its PASS/FAIL report line."""
+        if ok:
+            self.passes += 1
+            return f"PASS {claim}"
+        self.fails += 1
+        return f"FAIL {claim} ({why})"
+
+    def update(self, step: int, replica: str, key: str, value: str) -> str:
+        store = self.stores[replica]
+        siblings = store.get(key, [])
+        base = core.fresh()
+        for sib in siblings:
+            base = core.merge(base, sib.clock)
+        new_clock = core.increment(replica, base, FixedClock(step))
+        new_sibling = Sibling(value, new_clock)
+        if self.collapse:
+            store[key] = [new_sibling]
+        else:
+            store[key] = sorted(siblings + [new_sibling], key=_sibling_key)
+        return f"update {replica} {key} {value} -> {canonical_text(new_clock)}"
+
+    def sync(self, step: int, src: str, dst: str, key: str) -> str:
+        if key not in self.stores[src]:
+            return f"sync {src} {dst} {key} -> no-op (key absent at source)"
+        store = self.stores[dst]
+        merged = store[key] = integrate_siblings(store.get(key, []), self.stores[src][key])
+        return f"sync {src} {dst} {key} -> siblings={len(merged)}"
+
+    def read(self, step: int, replica: str, key: str) -> str:
+        siblings = self.stores[replica].get(key)
+        if siblings is None:
+            return f"read {replica} {key} -> absent"
+        rendered = " | ".join(_rendered(siblings))
+        return f"read {replica} {key} -> {len(siblings)} sibling(s): {rendered}"
+
+    def prune(self, step: int, replica: str, key: str) -> str:
+        store = self.stores[replica]
+        if key not in store:
+            return self.verdict(False, f"prune {replica} {key}", "key absent")
+        pruned: list[Sibling] = []
+        removals: list[str] = []
+        for index, sib in enumerate(store[key]):
+            new_clock = core.prune(sib.clock, step, self.bounds)
+            kept = {e.actor for e in new_clock.entries}
+            removed = [e.actor for e in sib.clock.entries if e.actor not in kept]
+            removals.append(f"sibling{index} removed [{','.join(removed)}]")
+            pruned.append(Sibling(sib.value, new_clock))
+        # pruned clocks may have become comparable: re-establish the sibling invariant
+        resolved = store[key] = integrate_siblings([], pruned)
+        if len(resolved) < len(pruned):
+            removals.append(f"collapsed {len(pruned) - len(resolved)} sibling(s)")
+        return f"prune {replica} {key} -> {'; '.join(removals)}"
+
+    def expect_siblings(self, step: int, replica: str, key: str, expected: int) -> str:
+        actual = len(self.stores[replica].get(key, []))
+        claim = f"expect siblings {replica} {key} {expected}"
+        return self.verdict(actual == expected, claim, f"actual {actual}")
+
+    def expect_clock(self, step: int, replica: str, key: str, expected: VClock) -> str:
+        expected_text = canonical_text(expected)
+        texts = [canonical_text(s.clock) for s in self.stores[replica].get(key, [])]
+        have = " | ".join(texts) if texts else "absent"
+        claim = f"expect clock {replica} {key} {expected_text}"
+        return self.verdict(expected_text in texts, claim, f"siblings: {have}")
+
+    def expect_compare(self, step: int, replica: str, key: str, i: int, j: int, token: str) -> str:
+        siblings = self.stores[replica].get(key, [])
+        claim = f"expect compare {replica} {key} {i} {j} {token}"
+        if i >= len(siblings) or j >= len(siblings):
+            return self.verdict(False, claim, f"only {len(siblings)} sibling(s)")
+        actual = core.compare(siblings[i].clock, siblings[j].clock).value
+        return self.verdict(actual == token, claim, f"actual {actual}")
+
+
+def _rendered(siblings: list[Sibling]) -> tuple[str, ...]:
+    return tuple(f"{s.value}@{canonical_text(s.clock)}" for s in siblings)
+
+
+class _Op(NamedTuple):
+    op: str  # Command.op
+    usage: str  # the arity error
+    kinds: tuple[str, ...]  # one per argument, checked left to right by _argument
+    handler: Callable[..., str]  # the _Run method that executes the command
+    needs_bounds: bool = False
+
+
+# The scenario language, keyed by a command line's op words. The `replicas`
+# and `bounds` declarations are parsed on their own.
+_OPS = {
+    "update": _Op("update", "update takes replica key value",
+                  ("replica", "new key", "value"), _Run.update),
+    "sync": _Op("sync", "sync takes src dst key",
+                ("replica", "other replica", "known key"), _Run.sync),
+    "read": _Op("read", "read takes replica key", ("replica", "known key"), _Run.read),
+    "prune": _Op("prune", "prune takes replica key", ("replica", "known key"), _Run.prune,
+                 needs_bounds=True),
+    "expect siblings": _Op("expect_siblings", "expect siblings takes replica key n",
+                           ("replica", "known key", "sibling count"), _Run.expect_siblings),
+    "expect clock": _Op("expect_clock", "expect clock takes replica key clock-text",
+                        ("replica", "known key", "clock text"), _Run.expect_clock),
+    "expect compare": _Op("expect_compare", "expect compare takes replica key i j ordering",
+                          ("replica", "known key", "sibling index", "sibling index", "ordering"),
+                          _Run.expect_compare),
+}
+_HANDLERS = {spec.op: spec.handler for spec in _OPS.values()}
 
 
 def run_scenario(scenario: Scenario, collapse: bool = True) -> RunReport:
@@ -306,134 +382,17 @@ def run_scenario(scenario: Scenario, collapse: bool = True) -> RunReport:
     added alongside the existing siblings instead, which deliberately
     suspends the pairwise-concurrency invariant for exploration.
     """
-    states = {name: _ReplicaState(name) for name in scenario.replicas}
-    lines: list[str] = []
-    passes = 0
-    fails = 0
-
-    def render_siblings(siblings: list[Sibling]) -> str:
-        return " | ".join(f"{s.value}@{canonical_text(s.clock)}" for s in siblings)
-
-    for step, cmd in enumerate(scenario.commands, 1):
-        op = cmd.op
-        if op == "update":
-            replica, key, value = cmd.args
-            state = states[replica]
-            siblings = state.store.get(key, [])
-            base = core.fresh()
-            for sib in siblings:
-                base = core.merge(base, sib.clock)
-            new_clock = core.increment(replica, base, FixedClock(step))
-            new_sibling = Sibling(value, new_clock)
-            if collapse:
-                state.store[key] = [new_sibling]
-            else:
-                state.store[key] = sorted(siblings + [new_sibling], key=_sibling_key)
-            state.logical_time = step
-            lines.append(f"update {replica} {key} {value} -> {canonical_text(new_clock)}")
-        elif op == "sync":
-            src, dst, key = cmd.args
-            src_state = states[src]
-            dst_state = states[dst]
-            if key not in src_state.store:
-                lines.append(f"sync {src} {dst} {key} -> no-op (key absent at source)")
-                continue
-            merged = integrate_siblings(dst_state.store.get(key, []), src_state.store[key])
-            dst_state.store[key] = merged
-            dst_state.logical_time = step
-            lines.append(f"sync {src} {dst} {key} -> siblings={len(merged)}")
-        elif op == "read":
-            replica, key = cmd.args
-            siblings = states[replica].store.get(key)
-            if siblings is None:
-                lines.append(f"read {replica} {key} -> absent")
-            else:
-                lines.append(
-                    f"read {replica} {key} -> {len(siblings)} sibling(s): {render_siblings(siblings)}"
-                )
-        elif op == "prune":
-            replica, key = cmd.args
-            state = states[replica]
-            if key not in state.store:
-                fails += 1
-                lines.append(f"FAIL prune {replica} {key} (key absent)")
-                continue
-            assert scenario.bounds is not None  # guaranteed by the parser
-            pruned: list[Sibling] = []
-            removals: list[str] = []
-            for index, sib in enumerate(state.store[key]):
-                new_clock = core.prune(sib.clock, step, scenario.bounds)
-                kept = {e.actor for e in new_clock.entries}
-                removed = [e.actor for e in sib.clock.entries if e.actor not in kept]
-                removals.append(f"sibling{index} removed [{','.join(removed)}]")
-                pruned.append(Sibling(sib.value, new_clock))
-            # pruned clocks may have become comparable; re-establish the
-            # sibling invariant deterministically
-            resolved: list[Sibling] = []
-            for sib in pruned:
-                resolved = integrate_siblings(resolved, [sib])
-            collapsed = len(pruned) - len(resolved)
-            state.store[key] = resolved
-            state.logical_time = step
-            detail = "; ".join(removals)
-            if collapsed:
-                detail += f"; collapsed {collapsed} sibling(s)"
-            lines.append(f"prune {replica} {key} -> {detail}")
-        elif op == "expect_siblings":
-            replica, key, expected = cmd.args
-            actual = len(states[replica].store.get(key, []))
-            if actual == expected:
-                passes += 1
-                lines.append(f"PASS expect siblings {replica} {key} {expected}")
-            else:
-                fails += 1
-                lines.append(f"FAIL expect siblings {replica} {key} {expected} (actual {actual})")
-        elif op == "expect_clock":
-            replica, key, expected = cmd.args
-            expected_text = canonical_text(expected)
-            siblings = states[replica].store.get(key, [])
-            texts = [canonical_text(s.clock) for s in siblings]
-            if expected_text in texts:
-                passes += 1
-                lines.append(f"PASS expect clock {replica} {key} {expected_text}")
-            else:
-                fails += 1
-                have = " | ".join(texts) if texts else "absent"
-                lines.append(f"FAIL expect clock {replica} {key} {expected_text} (siblings: {have})")
-        elif op == "expect_compare":
-            replica, key, i, j, token = cmd.args
-            siblings = states[replica].store.get(key, [])
-            if i >= len(siblings) or j >= len(siblings):
-                fails += 1
-                lines.append(
-                    f"FAIL expect compare {replica} {key} {i} {j} {token} "
-                    f"(only {len(siblings)} sibling(s))"
-                )
-                continue
-            actual = core.compare(siblings[i].clock, siblings[j].clock).value
-            if actual == token:
-                passes += 1
-                lines.append(f"PASS expect compare {replica} {key} {i} {j} {token}")
-            else:
-                fails += 1
-                lines.append(
-                    f"FAIL expect compare {replica} {key} {i} {j} {token} (actual {actual})"
-                )
-        else:  # pragma: no cover - parser only emits the ops above
-            raise AssertionError(f"unhandled op {op!r}")
-
+    run = _Run({name: {} for name in scenario.replicas}, scenario.bounds, collapse)
+    lines = [
+        _HANDLERS[cmd.op](run, step, *cmd.args) for step, cmd in enumerate(scenario.commands, 1)
+    ]
     lines.append("-- final state --")
     stores: dict[str, dict[str, tuple[str, ...]]] = {}
     for name in scenario.replicas:
-        state = states[name]
-        stores[name] = {}
-        if not state.store:
+        stores[name] = {key: _rendered(sibs) for key, sibs in sorted(run.stores[name].items())}
+        if not stores[name]:
             lines.append(f"state {name} (empty)")
-            continue
-        for key in sorted(state.store):
-            siblings = state.store[key]
-            rendered = tuple(f"{s.value}@{canonical_text(s.clock)}" for s in siblings)
-            stores[name][key] = rendered
+        for key, rendered in stores[name].items():
             lines.append(f"state {name} {key} = {' | '.join(rendered)}")
-    lines.append(f"result: pass={passes} fail={fails}")
-    return RunReport(lines=tuple(lines), passes=passes, fails=fails, stores=stores)
+    lines.append(f"result: pass={run.passes} fail={run.fails}")
+    return RunReport(lines=tuple(lines), passes=run.passes, fails=run.fails, stores=stores)

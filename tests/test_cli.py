@@ -131,6 +131,15 @@ def test_run_bad_bound_digits_exit_two(tmp_path, capsys, bound):
     assert "Traceback" not in err
 
 
+def test_run_non_utf8_scenario_exits_two(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"replicas r1\nupdate r1 k v\xff\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not UTF-8 at byte offset 25: invalid start byte\n"
+
+
 def test_run_writes_report_file(tmp_path, capsys):
     path = tmp_path / "s.txt"
     path.write_text(GOOD_SCENARIO)

@@ -306,6 +306,13 @@ def test_prune_rejects_bad_bounds():
         PruneBounds(small=-1, large=2, young=0, old=0)
 
 
+def test_prune_requires_prune_bounds():
+    v = vc(("a", 1, 10), ("b", 1, 20))
+    for bounds in ((0, 0, 0, 0), [0, 0, 0, 0], None):
+        with pytest.raises(TypeError, match="PruneBounds"):
+            prune(v, 1000, bounds)
+
+
 def test_prune_empty_clock_is_noop():
     bounds = PruneBounds(small=0, large=0, young=0, old=0)
     assert prune(fresh(), 10, bounds) == fresh()

@@ -1,14 +1,18 @@
 """Simulator tests: scenario parsing, replica semantics, determinism."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclock.core import Ordering, PruneBounds, VClock, compare, descends, equal, prune
 from vclock.simulator import (
     ScenarioError,
     Sibling,
     integrate_siblings,
+    load_scenario,
     parse_scenario,
     prune_reference,
     run_scenario,
@@ -126,6 +130,106 @@ def test_unknown_command_rejected():
 def test_error_messages_carry_line_numbers():
     with pytest.raises(ScenarioError, match="line 3"):
         parse_scenario("replicas r1\nupdate r1 k v\nread r9 k\n")
+
+
+OVERLONG = "1" * 4301
+WRITTEN = "replicas r1 r2\nupdate r1 k v\n"
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        # replicas
+        ("replicas r1\nreplicas r2\n", "line 2: duplicate replicas declaration"),
+        ("replicas\n", "line 1: replicas needs at least one name"),
+        ("replicas r1 r:1\n", "line 1: bad replica name 'r:1'"),
+        ("replicas r1 r1\n", "line 1: duplicate replica name"),
+        # bounds, and both _parse_nonneg messages
+        ("bounds 0 1 0 0\nbounds 0 1 0 0\n", "line 2: duplicate bounds declaration"),
+        ("bounds 0 1 0\n", "line 1: bounds takes small large young old"),
+        ("bounds 0 x 0 0\n", "line 1: bound must be a non-negative integer, got 'x'"),
+        (f"bounds {OVERLONG} 1 0 0\n", "line 1: bound has too many digits (4301)"),
+        ("bounds 5 2 0 0\n", "line 1: prune bounds require small <= large, got 5 > 2"),
+        # update
+        ("replicas r1\nupdate r1 k\n", "line 2: update takes replica key value"),
+        ("replicas r1\nupdate r2 k v\n", "line 2: unknown replica 'r2'"),
+        ("replicas r1\nupdate r1 k:x v\n", "line 2: bad key token 'k:x'"),
+        ("replicas r1\nupdate r1 k v\x07\n", "line 2: bad value token 'v\\x07'"),
+        # sync, read, prune
+        (WRITTEN + "sync r1 r2\n", "line 3: sync takes src dst key"),
+        (WRITTEN + "sync r1 r1 k\n", "line 3: sync source and destination are the same"),
+        (WRITTEN + "read r1 j\n", "line 3: key 'j' is never written before this line"),
+        (WRITTEN + "read r1\n", "line 3: read takes replica key"),
+        (WRITTEN + "prune r1 k extra\n", "line 3: prune takes replica key"),
+        (WRITTEN + "prune r1 k\n", "line 3: prune used without a bounds declaration"),
+        # expect
+        (WRITTEN + "expect\n", "line 3: expect needs an assertion kind"),
+        (WRITTEN + "expect siblings r1 k\n", "line 3: expect siblings takes replica key n"),
+        (WRITTEN + "expect clock r1 k\n", "line 3: expect clock takes replica key clock-text"),
+        (
+            WRITTEN + "expect clock r1 k nonsense\n",
+            "line 3: bad clock text: expected actor:count:timestamp, got 'nonsense'",
+        ),
+        (
+            WRITTEN + "expect compare r1 k 0 1\n",
+            "line 3: expect compare takes replica key i j ordering",
+        ),
+        (WRITTEN + "expect compare r1 k 0 1 Above\n", "line 3: unknown ordering token 'Above'"),
+        (WRITTEN + "expect frob r1 k\n", "line 3: unknown expect kind 'frob'"),
+        (WRITTEN + "frobnicate r1\n", "line 3: unknown command 'frobnicate'"),
+        (WRITTEN + "expect_siblings r1 k 1\n", "line 3: unknown command 'expect_siblings'"),
+        # which fault wins when a line has several
+        ("replicas r1\nsync r1 r1 k\n", "line 2: sync source and destination are the same"),
+        ("replicas r1\nsync r9 r9 k\n", "line 2: unknown replica 'r9'"),
+        ("replicas r1\nupdate r9 k:x v\x07\n", "line 2: unknown replica 'r9'"),
+        ("replicas r1\nupdate r1 k:x v\x07\n", "line 2: bad key token 'k:x'"),
+        ("replicas r1\nprune r1 k\n", "line 2: key 'k' is never written before this line"),
+        ("replicas r:1 r1 r1\n", "line 1: bad replica name 'r:1'"),
+        ("bounds 0 1 0 0\nbounds x\n", "line 2: duplicate bounds declaration"),
+        ("bounds 5 2 x 0\n", "line 1: bound must be a non-negative integer, got 'x'"),
+        ("replicas r1\nexpect siblings\n", "line 2: expect siblings takes replica key n"),
+        (
+            WRITTEN + "expect siblings r1 k -1\n",
+            "line 3: sibling count must be a non-negative integer, got '-1'",
+        ),
+        (
+            WRITTEN + "expect compare r1 k x ² Above\n",
+            "line 3: sibling index must be a non-negative integer, got 'x'",
+        ),
+        (
+            WRITTEN + "expect compare r1 k 0 ² Above\n",
+            "line 3: sibling index must be a non-negative integer, got '²'",
+        ),
+        (WRITTEN + "expect clock r9 j nonsense\n", "line 3: unknown replica 'r9'"),
+        (
+            WRITTEN + "expect clock r1 j nonsense\n",
+            "line 3: key 'j' is never written before this line",
+        ),
+    ],
+)
+def test_parse_error_messages(script, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(script)
+    assert str(info.value) == message
+
+
+_GRAMMAR_WORDS = (
+    "replicas bounds update sync read prune expect siblings clock compare expect_siblings "
+    "r1 r2 r3 k j v # 0 1 2 ² -1 - r1:1:1 r1:1:1;r2:2:3 a:0:1 Equal Descends Dominated "
+    "Concurrent Above"
+).split() + [OVERLONG]
+_token = st.one_of(st.sampled_from(_GRAMMAR_WORDS), st.text())
+_line = st.lists(_token, max_size=8).map(" ".join)
+_PREFIXES = ("", "replicas r1 r2 r3\n", "replicas r1 r2\nbounds 0 1 0 0\nupdate r1 k v\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PREFIXES), st.lists(_line, max_size=10).map("\n".join))
+def test_parse_scenario_only_raises_scenario_error(prefix, body):
+    try:
+        parse_scenario(prefix + body)
+    except ScenarioError:
+        pass
 
 
 # --- update semantics -------------------------------------------------------------
@@ -408,3 +512,18 @@ def test_sibling_order_is_canonical_in_reports():
     report = run_text(text)
     read_line = next(line for line in report.lines if line.startswith("read"))
     assert read_line.index("v1@") < read_line.index("v2@")
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "no-collapse"])
+@pytest.mark.parametrize(
+    "name", ["causal_overwrite", "concurrent_write", "prune_false_concurrency"]
+)
+def test_shipped_scenario_reports_match_golden(name, collapse):
+    suffix = "" if collapse else ".no-collapse"
+    golden = (GOLDEN_DIR / f"{name}{suffix}.txt").read_text(encoding="utf-8")
+    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.txt"))
+    assert run_scenario(scenario, collapse=collapse).text == golden
