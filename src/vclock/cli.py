@@ -99,8 +99,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         if args.exhaustive is not None:
             max_events, max_actors = args.exhaustive
-            for history in oracle.enumerate_histories(max_events, max_actors):
-                violations = oracle.check_equivalence(history)
+            for history, violations in oracle.check_enumerated(max_events, max_actors):
                 if violations:
                     print(f"# history #{checked} over {history.actors}", file=sys.stderr)
                     rendered.extend(v.render() for v in violations)

@@ -28,6 +28,7 @@ __all__ = [
     "Violation",
     "actor_name",
     "build_history",
+    "check_enumerated",
     "check_equivalence",
     "enumerate_histories",
     "happened_before",
@@ -181,20 +182,28 @@ def happened_before(h: History, e1: int, e2: int) -> bool:
     return bool(_ancestor_masks(h)[e2] >> e1 & 1)
 
 
-def check_equivalence(h: History) -> list[Violation]:
+def check_equivalence(h: History, *, since: int = 0) -> list[Violation]:
     """Compare graph causality against clock order for every event pair.
 
     For events i before j in the graph, j's snapshot must strictly dominate
     i's; for graph-concurrent pairs the snapshots must compare Concurrent.
     Each violating pair is reported in both orientations. An empty list
     means the clocks agree with the graph everywhere.
+
+    With since, only pairs whose later event id is >= since are checked, so
+    since=len(h) - 1 checks just the last event against the rest. Later
+    events change neither the graph nor the clocks of earlier ones, so the
+    report on h's first since events plus this one is the full report,
+    element for element.
     """
+    n = len(h.events)
+    if isinstance(since, bool) or not isinstance(since, int) or not 0 <= since <= n:
+        raise ValueError(f"since must be an int in 0..{n}, got {since!r}")
     masks = _ancestor_masks(h)
     entry_seqs = [ev.clock.entries for ev in h.events]
     compare_entries = kernels.compare_entries
     violations: list[Violation] = []
-    n = len(entry_seqs)
-    for j in range(n):
+    for j in range(since, n):
         mask_j = masks[j]
         entries_j = entry_seqs[j]
         for i in range(j):
@@ -243,6 +252,31 @@ def enumerate_histories(max_events: int, max_actors: int) -> Iterator[History]:
                 yield from grow(child, new_used)
 
     return grow(History(events=(), actors=()), 0)
+
+
+def check_enumerated(
+    max_events: int, max_actors: int
+) -> Iterator[tuple[History, list[Violation]]]:
+    """Yield (history, check_equivalence(history)) for every enumerated history.
+
+    Same histories in the same order as enumerate_histories, and the same
+    bounds errors, raised eagerly. Each history is checked only against its
+    new last event; the rest of its report is its parent's.
+    """
+    histories = enumerate_histories(max_events, max_actors)
+
+    def walk() -> Iterator[tuple[History, list[Violation]]]:
+        # reports[k] is the report of the last history yielded with k events;
+        # depth-first, that is the parent of every history of k + 1 events
+        # until the next history of k events is yielded
+        reports: list[list[Violation]] = [[]]
+        for history in histories:
+            n = len(history)
+            report = reports[n - 1] + check_equivalence(history, since=n - 1)
+            reports[n:] = [report]
+            yield history, report.copy()
+
+    return walk()
 
 
 def random_history(seed: int, events: int, actors: int) -> History:

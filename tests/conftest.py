@@ -1,0 +1,23 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from vclock import _backend
+
+kernels = _backend.kernels
+
+# a broken comparison kernel: between two snapshots of two entries each it
+# reports a happened-before pair as Concurrent and a concurrent pair as Descends
+_MISREPORTED = {kernels.DOMINATED: kernels.CONCURRENT, kernels.CONCURRENT: kernels.DESCENDS}
+
+
+@pytest.fixture
+def faulty_compare(monkeypatch):
+    """Make kernels.compare_entries misreport some codes, the same way for the same pair."""
+    compare_entries = kernels.compare_entries
+
+    def misreporting(a, b):
+        code = compare_entries(a, b)
+        return _MISREPORTED.get(code, code) if len(a) == len(b) == 2 else code
+
+    monkeypatch.setattr(kernels, "compare_entries", misreporting)

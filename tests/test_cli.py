@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from vclock.cli import main
+from vclock.oracle import check_equivalence, enumerate_histories
 
 GOOD_SCENARIO = """\
 replicas r1 r2
@@ -164,6 +165,22 @@ def test_check_exhaustive_small(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "0 violation" in captured.err
+
+
+def test_check_exhaustive_reports_every_violation(faulty_compare, capsys):
+    # reference: every history checked in full, in enumeration order
+    rendered, notes = [], []
+    for checked, history in enumerate(enumerate_histories(4, 3)):
+        violations = check_equivalence(history)
+        if violations:
+            notes.append(f"# history #{checked} over {history.actors}")
+            rendered.extend(v.render() for v in violations)
+    assert rendered
+    summary = f"checked {checked + 1} histories: {len(rendered)} violation line(s)"
+    assert main(["check", "--exhaustive", "4", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(line + "\n" for line in sorted(rendered))
+    assert captured.err.splitlines() == [*notes, summary]
 
 
 def test_check_random_small(capsys):

@@ -14,6 +14,7 @@ from vclock.oracle import (
     Violation,
     actor_name,
     build_history,
+    check_enumerated,
     check_equivalence,
     enumerate_histories,
     happened_before,
@@ -142,11 +143,15 @@ def test_enumerated_histories_equal_their_from_scratch_build():
 
 def test_enumerated_children_share_their_parents_records():
     parents = {}
+    latest = {}  # event count -> the history of that length yielded last
     for h in enumerate_histories(4, 3):
         if len(h) > 1:
             parent = parents[steps_of(h)[:-1]]
             assert all(a is b for a, b in zip(h.events, parent.events))
+            # depth-first order, which check_enumerated relies on
+            assert latest[len(h) - 1] is parent
         parents[steps_of(h)] = h
+        latest[len(h)] = h
 
 
 # keys fall before, on and after the cut points below
@@ -222,6 +227,38 @@ def test_prune_injection_breaks_equivalence():
     assert Violation(1, 0, "inverse", Ordering.CONCURRENT) in report
 
 
+def test_check_since_limits_the_later_event():
+    # pruning makes violations, so the order of a non-empty report is checked
+    bounds = PruneBounds(small=1, large=1, young=0, old=0)
+    h = build_history(steps_of(random_history(3, 12, 3)), prune_at={4: bounds, 9: bounds})
+    full = check_equivalence(h)
+    assert full and check_equivalence(h, since=0) == full
+    for since in range(len(h) + 1):
+        later = [v for v in full if max(v.left, v.right) >= since]
+        assert check_equivalence(h, since=since) == later
+    assert check_equivalence(h, since=len(h)) == []
+
+
+@pytest.mark.parametrize("since", [-1, 13, 1.0, "1", None, True])
+def test_check_rejects_a_bad_since(since):
+    with pytest.raises(ValueError, match="since"):
+        check_equivalence(random_history(3, 12, 3), since=since)
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "faulty-kernel"])
+def test_check_enumerated_equals_the_full_check(fault, request):
+    if fault:
+        request.getfixturevalue("faulty_compare")
+    histories = list(enumerate_histories(5, 3))
+    checked = list(check_enumerated(5, 3))
+    assert [h for h, _ in checked] == histories
+    for h, report in checked:
+        assert report == check_equivalence(h)
+    reported = sum(1 for _, report in checked if report)
+    # the fault leaves some histories clean: 1,381 of the 1,913 report violations
+    assert reported == (1381 if fault else 0)
+
+
 def test_violation_render_format():
     v = Violation(0, 1, "hb", Ordering.CONCURRENT)
     assert v.render() == "VIOLATION e0 e1 graph=hb clocks=Concurrent"
@@ -258,10 +295,11 @@ def test_enumeration_is_deterministic():
 
 
 def test_enumeration_budget_is_enforced_eagerly():
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_histories(MAX_ENUM_EVENTS + 1, MAX_ENUM_ACTORS)
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_histories(MAX_ENUM_EVENTS, MAX_ENUM_ACTORS + 1)
+    for walk in (enumerate_histories, check_enumerated):
+        with pytest.raises(EnumerationBudgetError):
+            walk(MAX_ENUM_EVENTS + 1, MAX_ENUM_ACTORS)
+        with pytest.raises(EnumerationBudgetError):
+            walk(MAX_ENUM_EVENTS, MAX_ENUM_ACTORS + 1)
 
 
 # --- random histories -------------------------------------------------------------
