@@ -1,7 +1,7 @@
-"""Benchmark the compiled kernels against the pure-Python twins.
+"""Benchmark the vector-clock kernels.
 
 Generates a seeded corpus of canonical entry tuples and times each kernel
-on both backends. Run after installing the package:
+on it. Run after installing the package:
 
     python benchmarks/bench_backends.py --pairs 2000 --rounds 5
 """
@@ -13,11 +13,6 @@ import random
 import time
 
 from vclock import _kernels_py
-
-try:
-    from vclock import _kernels
-except ImportError:
-    _kernels = None
 
 ACTORS = [chr(ord("a") + i) for i in range(8)]
 
@@ -58,23 +53,8 @@ def main() -> int:
     args = parser.parse_args()
 
     corpus = make_corpus(args.pairs)
-    pure = bench(_kernels_py, corpus, args.rounds)
-    if _kernels is None:
-        print("compiled backend not available; pure timings only")
-        for name, micros in pure.items():
-            print(f"{name:20s} pure={micros:8.3f} us/call")
-        return 0
-
-    compiled = bench(_kernels, corpus, args.rounds)
-    # cross-check while we are here: both backends must agree everywhere
-    for a, b in corpus:
-        assert _kernels.compare_entries(a, b) == _kernels_py.compare_entries(a, b)
-        assert _kernels.merge_entries(a, b) == _kernels_py.merge_entries(a, b)
-
-    print(f"{'kernel':20s} {'pure us':>10s} {'compiled us':>12s} {'speedup':>8s}")
-    for name in pure:
-        ratio = pure[name] / compiled[name] if compiled[name] else float("inf")
-        print(f"{name:20s} {pure[name]:10.3f} {compiled[name]:12.3f} {ratio:7.2f}x")
+    for name, micros in bench(_kernels_py, corpus, args.rounds).items():
+        print(f"{name:20s} {micros:8.3f} us/call")
     return 0
 
 

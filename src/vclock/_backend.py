@@ -1,27 +1,12 @@
-"""Kernel backend selection.
+"""The kernel module the library calls through.
 
-The compiled extension is preferred when importable; setting the environment
-variable ``VCLOCK_PURE`` to a non-empty value other than ``0`` forces the
-pure-Python kernels. The choice is made once at import.
+``core`` and ``oracle`` look each kernel up as an attribute of ``kernels``
+when they run, so patching one attribute of that module reaches every caller.
 """
 
-import os
-
-if os.environ.get("VCLOCK_PURE", "0") not in ("", "0"):
-    from . import _kernels_py as kernels
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "pure"
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the kernel backend in use: 'compiled' or 'pure'."""
-    return BACKEND
+    """Name of the kernel backend in use: always 'pure'."""
+    return "pure"

@@ -2,9 +2,25 @@
 
 An entry sequence is a tuple of (actor, count, timestamp) triples sorted by
 actor with no duplicate actors. These functions are the hot inner loops of
-clock comparison; a compiled twin lives in ``_kernels.pyx`` with identical
-behavior. Keep the two in sync.
+clock comparison. A clock's entries are :class:`ClockEntry` triples, and on
+such inputs :func:`merge_entries` returns only :class:`ClockEntry` triples,
+so a merged clock needs no conversion.
 """
+
+from typing import NamedTuple
+
+
+class ClockEntry(NamedTuple):
+    """One actor's slot in a vector clock."""
+
+    actor: str
+    count: int
+    timestamp: int
+
+
+# _new_tuple(ClockEntry, (actor, count, timestamp)) builds an entry without
+# the Python-level call to ClockEntry.__new__
+_new_tuple = tuple.__new__
 
 # compare_entries result codes
 EQUAL = 0
@@ -86,9 +102,9 @@ def equal_entries(a, b):
 def merge_entries(a, b):
     """Per-actor maximum of two canonical entry sequences.
 
-    Counts and timestamps take their maxima independently; an actor present
-    on one side only is kept as-is. Returns a tuple of plain
-    (actor, count, timestamp) triples in canonical order.
+    Counts and timestamps take their maxima independently, in a new
+    :class:`ClockEntry`; an entry whose actor is on one side only is kept
+    as the same object. Returns a tuple in canonical order.
     """
     out = []
     i = 0
@@ -105,21 +121,17 @@ def merge_entries(a, b):
             cb = eb[1]
             ta = ea[2]
             tb = eb[2]
-            out.append((actor_a, ca if ca >= cb else cb, ta if ta >= tb else tb))
+            count = ca if ca >= cb else cb
+            timestamp = ta if ta >= tb else tb
+            out.append(_new_tuple(ClockEntry, (actor_a, count, timestamp)))
             i += 1
             j += 1
         elif actor_a < actor_b:
-            out.append((actor_a, ea[1], ea[2]))
+            out.append(ea)
             i += 1
         else:
-            out.append((actor_b, eb[1], eb[2]))
+            out.append(eb)
             j += 1
-    while i < na:
-        ea = a[i]
-        out.append((ea[0], ea[1], ea[2]))
-        i += 1
-    while j < nb:
-        eb = b[j]
-        out.append((eb[0], eb[1], eb[2]))
-        j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
     return tuple(out)

@@ -13,9 +13,10 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from ._backend import kernels
+from ._kernels_py import ClockEntry
 
 __all__ = [
     "ClockEntry",
@@ -46,14 +47,6 @@ class InvalidActorError(ValueError):
     """Actor token is empty or contains whitespace, ':', ';' or unprintables."""
 
 
-class ClockEntry(NamedTuple):
-    """One actor's slot in a vector clock."""
-
-    actor: str
-    count: int
-    timestamp: int
-
-
 class Ordering(Enum):
     """Four-way result of comparing two clocks.
 
@@ -73,12 +66,15 @@ _ORDERINGS = (Ordering.EQUAL, Ordering.DESCENDS, Ordering.DOMINATED, Ordering.CO
 
 def is_valid_actor(token: str) -> bool:
     """Check the actor lexical rule: non-empty, printable, no whitespace/':'/';'."""
-    if not isinstance(token, str) or not token:
-        return False
-    for ch in token:
-        if ch in ":;" or ch.isspace() or not ch.isprintable():
-            return False
-    return True
+    # ' ' is the one whitespace character that str.isprintable() accepts
+    return (
+        isinstance(token, str)
+        and token.isprintable()
+        and token != ""
+        and " " not in token
+        and ":" not in token
+        and ";" not in token
+    )
 
 
 def _require_actor(token: str) -> None:
@@ -275,8 +271,7 @@ def merge(v1: VClock, v2: VClock, clock: ClockSource | None = None) -> VClock:
         return v2
     if not v2.entries:
         return v1
-    merged = kernels.merge_entries(v1.entries, v2.entries)
-    return _wrap(tuple(ClockEntry(a, c, t) for a, c, t in merged))
+    return _wrap(kernels.merge_entries(v1.entries, v2.entries))
 
 
 def get_counter(actor: str, v: VClock) -> int:

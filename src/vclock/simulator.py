@@ -106,7 +106,8 @@ def _argument(kind: str, token: str, line_no: int, replicas: tuple, keys: set, l
             raise ScenarioError(f"line {line_no}: bad key token {token!r}")
         keys.add(token)
     elif kind == "value":
-        if not all(ch.isprintable() and not ch.isspace() for ch in token):
+        # tokens come from str.split(), so they hold no whitespace
+        if not token.isprintable():
             raise ScenarioError(f"line {line_no}: bad value token {token!r}")
     elif kind == "clock text":
         try:

@@ -1,8 +1,11 @@
 """Core clock operation tests: examples, contracts, partial-order laws."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclock.core import (
     ClockEntry,
@@ -22,6 +25,7 @@ from vclock.core import (
     get_counter,
     get_timestamp,
     increment,
+    is_valid_actor,
     merge,
     prune,
 )
@@ -107,6 +111,31 @@ def test_increment_rejects_bad_actor():
     for bad in ("", "a b", "a:b", "a;b", "\t", "x\n"):
         with pytest.raises(InvalidActorError):
             increment(bad, fresh(), FixedClock(0))
+
+
+def actor_rule(token) -> bool:
+    """The actor rule as written, one character at a time."""
+    if not isinstance(token, str) or not token:
+        return False
+    return all(ch not in ":;" and not ch.isspace() and ch.isprintable() for ch in token)
+
+
+_WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.text() | st.sampled_from(_WHITESPACE + [":", ";"])).map("".join)
+    | st.sampled_from([None, b"a", 1, 1.5, ("a",)])
+)
+def test_is_valid_actor_follows_the_rule(token):
+    assert is_valid_actor(token) is actor_rule(token)
+
+
+def test_is_valid_actor_rejects_every_whitespace_character():
+    for ch in _WHITESPACE:
+        for token in (ch, "a" + ch, ch + "a", "a" + ch + "b"):
+            assert is_valid_actor(token) is actor_rule(token) is False
 
 
 # --- equal -------------------------------------------------------------------

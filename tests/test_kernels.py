@@ -1,52 +1,93 @@
-"""Differential tests: compiled kernels must agree with the pure twins."""
+"""Kernel tests: the pure-Python kernels against a dict-based reference."""
 
-import random
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import pytest
+import vclock
+from vclock import _backend, _kernels_py
+from vclock._kernels_py import ClockEntry
+from vclock.core import VClock, merge
 
-from vclock import _kernels_py
-from vclock._backend import backend_name
-
-compiled = pytest.importorskip("vclock._kernels", reason="compiled kernels not built")
-
-ACTORS = "abcdefgh"
-
-
-def random_entries(rng: random.Random) -> tuple:
-    out = []
-    for actor in ACTORS:
-        if rng.random() < 0.5:
-            out.append((actor, rng.randint(1, 6), rng.randint(0, 30)))
-    return tuple(out)
+# --- reference over plain dicts, sharing no code with the kernels ----------
 
 
-def test_result_codes_match():
-    for name in ("EQUAL", "DESCENDS", "DOMINATED", "CONCURRENT"):
-        assert getattr(compiled, name) == getattr(_kernels_py, name)
+def reference(a: tuple, b: tuple) -> dict:
+    """Expected result of every kernel on the canonical entry tuples a and b."""
+    da = {actor: (count, timestamp) for actor, count, timestamp in a}
+    db = {actor: (count, timestamp) for actor, count, timestamp in b}
+    ge = all(da.get(actor, (0, 0))[0] >= count for actor, (count, _) in db.items())
+    le = all(db.get(actor, (0, 0))[0] >= count for actor, (count, _) in da.items())
+    merged = dict(da)
+    for actor, (count, timestamp) in db.items():
+        if actor in merged:
+            c, t = merged[actor]
+            merged[actor] = (max(c, count), max(t, timestamp))
+        else:
+            merged[actor] = (count, timestamp)
+    if ge and le:
+        code = _kernels_py.EQUAL
+    elif ge:
+        code = _kernels_py.DESCENDS
+    elif le:
+        code = _kernels_py.DOMINATED
+    else:
+        code = _kernels_py.CONCURRENT
+    return {
+        "compare_entries": code,
+        "descends_entries": ge,
+        "equal_entries": ge and le,
+        "merge_entries": tuple((x, c, t) for x, (c, t) in sorted(merged.items())),
+    }
 
 
-def test_backends_agree_on_random_corpus():
-    rng = random.Random(1234)
-    for _ in range(3000):
-        a = random_entries(rng)
-        b = random_entries(rng)
-        assert compiled.compare_entries(a, b) == _kernels_py.compare_entries(a, b)
-        assert compiled.descends_entries(a, b) == _kernels_py.descends_entries(a, b)
-        assert compiled.equal_entries(a, b) == _kernels_py.equal_entries(a, b)
-        assert compiled.merge_entries(a, b) == _kernels_py.merge_entries(a, b)
+# a few shared actors, so that both sides often hold the same one, plus any text
+_actors = st.sampled_from(["a", "b", "é", "ß", "日本", "\U0001f600"]) | st.text(min_size=1, max_size=3)
+# small values tie often; the others straddle and exceed 2**64
+_counts = st.integers(1, 4) | st.integers(2**64 - 2, 2**64 + 2) | st.integers(1, 2**100)
+_timestamps = st.integers(0, 4) | st.integers(2**64 - 2, 2**64 + 2) | st.integers(0, 2**100)
+_entries = st.dictionaries(_actors, st.tuples(_counts, _timestamps), max_size=8).map(
+    lambda d: tuple(ClockEntry(x, c, t) for x, (c, t) in sorted(d.items()))
+)
 
 
-def test_backends_agree_on_edge_cases():
+@settings(max_examples=300, deadline=None)
+@given(_entries, _entries)
+def test_kernels_agree_with_the_reference(a, b):
+    want = reference(a, b)
+    for name, expected in want.items():
+        assert getattr(_kernels_py, name)(a, b) == expected, name
+    assert all(type(e) is ClockEntry for e in _kernels_py.merge_entries(a, b))
+
+
+def test_edge_cases():
     empty = ()
     single = (("a", 1, 0),)
-    for kernel in (compiled, _kernels_py):
-        assert kernel.compare_entries(empty, empty) == kernel.EQUAL
-        assert kernel.compare_entries(single, empty) == kernel.DESCENDS
-        assert kernel.compare_entries(empty, single) == kernel.DOMINATED
-        assert kernel.merge_entries(empty, single) == single
-        assert kernel.descends_entries(single, empty)
-        assert not kernel.descends_entries(empty, single)
+    assert _kernels_py.compare_entries(empty, empty) == _kernels_py.EQUAL
+    assert _kernels_py.compare_entries(single, empty) == _kernels_py.DESCENDS
+    assert _kernels_py.compare_entries(empty, single) == _kernels_py.DOMINATED
+    assert _kernels_py.merge_entries(empty, single) == single
+    assert _kernels_py.descends_entries(single, empty)
+    assert not _kernels_py.descends_entries(empty, single)
 
 
-def test_backend_name_reports_a_known_backend():
-    assert backend_name() in ("compiled", "pure")
+def test_the_pure_kernels_are_the_only_backend():
+    assert vclock.backend_name() == "pure"
+    assert _backend.kernels is _kernels_py
+    assert ClockEntry is vclock.ClockEntry is vclock.core.ClockEntry
+
+
+def test_merge_entries_returns_clock_entries():
+    a = (ClockEntry("a", 1, 5), ClockEntry("b", 2, 0), ClockEntry("d", 1, 1))
+    b = (ClockEntry("b", 1, 9), ClockEntry("c", 3, 3))
+    merged = _kernels_py.merge_entries(a, b)
+    assert merged == (("a", 1, 5), ("b", 2, 9), ("c", 3, 3), ("d", 1, 1))
+    assert all(type(e) is ClockEntry for e in merged)
+    # an actor on one side only keeps its entry object
+    assert merged[0] is a[0] and merged[2] is b[1] and merged[3] is a[2]
+
+
+def test_merged_clock_entries_have_named_fields():
+    m = merge(VClock([("a", 1, 5), ("b", 2, 0)]), VClock([("b", 1, 9), ("c", 3, 3)]))
+    assert [e.actor for e in m.entries] == ["a", "b", "c"]
+    assert (m.entries[1].count, m.entries[1].timestamp) == (2, 9)
+    assert m.entries[2].actor == "c"
