@@ -8,8 +8,6 @@ gigabyte-scale object graph.
 
 from __future__ import annotations
 
-import re
-
 from .core import VClock, canonical_text, fresh, is_valid_actor
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
 ]
 
 EMPTY_FORM = "-"
-
-_DIGITS = re.compile(r"[0-9]+\Z")
 
 
 class DecodeError(ValueError):
@@ -86,7 +82,12 @@ def decode(text: str) -> VClock:
         actor, count_text, timestamp_text = parts
         if not is_valid_actor(actor):
             raise ActorTokenError(f"bad actor token {actor!r} in entry {field!r}")
-        if not _DIGITS.match(count_text) or not _DIGITS.match(timestamp_text):
+        if not (
+            count_text.isascii()
+            and count_text.isdigit()
+            and timestamp_text.isascii()
+            and timestamp_text.isdigit()
+        ):
             raise NumericFieldError(
                 f"count and timestamp must be decimal digits in entry {field!r}"
             )
@@ -181,9 +182,13 @@ def natural_to_peano(n: int) -> PeanoNumeral:
             f"refusing to materialize a numeral of depth {n} "
             f"(limit {MATERIALIZATION_LIMIT}); see peano_cost for the size estimate"
         )
+    # object.__new__ plus a slot store skips the Python-level __init__ call
+    new = object.__new__
     node: PeanoNumeral = ZERO
     for _ in range(n):
-        node = Successor(node)
+        succ = new(Successor)
+        succ.pred = node
+        node = succ
     return node
 
 

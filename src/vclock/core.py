@@ -86,10 +86,12 @@ class VClock:
     """Immutable vector clock: entries sorted by actor, one entry per actor.
 
     Structural equality (``==``) includes timestamps; the causal,
-    timestamp-insensitive notion is :func:`equal`.
+    timestamp-insensitive notion is :func:`equal`. Copies and pickles carry
+    the entries only and rebuild the clock through validation.
     """
 
-    __slots__ = ("entries",)
+    # _text: canonical_text's rendering, stored on first use; unset until then
+    __slots__ = ("entries", "_text")
 
     entries: tuple[ClockEntry, ...]
 
@@ -111,6 +113,9 @@ class VClock:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VClock is immutable")
+
+    def __reduce__(self):
+        return (VClock, (self.entries,))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VClock):
@@ -334,8 +339,12 @@ def canonical_text(v: VClock) -> str:
     """The boundary form: 'actor:count:timestamp' entries joined by ';'.
 
     The empty clock renders as '-'. Actors ascend, so equal clock values
-    always produce byte-identical text.
+    always produce byte-identical text. Each clock is rendered once: the
+    text is stored on the clock, which is safe because its entries never
+    change.
     """
-    if not v.entries:
-        return "-"
-    return ";".join(f"{e.actor}:{e.count}:{e.timestamp}" for e in v.entries)
+    text = getattr(v, "_text", None)
+    if text is None:
+        text = ";".join(f"{e.actor}:{e.count}:{e.timestamp}" for e in v.entries) or "-"
+        object.__setattr__(v, "_text", text)
+    return text

@@ -1,8 +1,12 @@
 """Wire codec and unary numeral tests."""
 
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclock.codec import (
     MATERIALIZATION_LIMIT,
@@ -22,7 +26,7 @@ from vclock.codec import (
     peano_cost,
     peano_to_natural,
 )
-from vclock.core import ClockEntry, VClock, fresh, merge
+from vclock.core import ClockEntry, VClock, fresh, is_valid_actor, merge
 
 
 def test_encode_empty():
@@ -118,6 +122,83 @@ def test_round_trip_identity_on_random_clocks():
 
 def test_encode_after_decode_canonicalizes():
     assert encode(decode("b:1:106;a:2:105")) == "a:2:105;b:1:106"
+
+
+# decode's digit rule written as a regex, the reference for its
+# str.isascii() and str.isdigit() test (the scenario parser's rule)
+_DECIMAL = re.compile(r"[0-9]+\Z")
+
+_FIELD_EDGES = ["", "0", "7", "007", "12\n", "\n12", " 1", "1 ", "+1", "-1", "1_000", "1²"]
+
+
+def test_decode_digit_rule_matches_the_regex():
+    numeric = []
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        assert (ch.isascii() and ch.isdigit()) is bool(_DECIMAL.match(ch)), hex(cp)
+        if ch.isnumeric():
+            numeric.append(ch)
+    for field in numeric + _FIELD_EDGES:
+        for text in (f"a:{field}:5", f"a:1:{field}"):
+            if _DECIMAL.match(field):
+                try:
+                    decode(text)
+                except CountRangeError:
+                    assert field.strip("0") == ""
+            else:
+                with pytest.raises(NumericFieldError):
+                    decode(text)
+
+
+_piece = (
+    st.text(max_size=4)
+    | st.sampled_from(["-", "a", "b", "a b", "0", "²", "١", OVERLONG])
+    | st.integers(0, 2**70).map(str)
+)
+_wire_text = st.text() | st.lists(
+    st.lists(_piece, max_size=4).map(":".join), min_size=1, max_size=4
+).map(";".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wire_text)
+def test_decode_raises_only_decode_errors(text):
+    try:
+        v = decode(text)
+    except DecodeError:
+        return
+    assert type(v) is VClock
+
+
+# entries as a sender may write them: any order, numbers with leading zeros
+_entry_text = st.tuples(
+    st.sampled_from("abcdef") | st.text(min_size=1, max_size=3).filter(is_valid_actor),
+    st.integers(1, 2**70),
+    st.integers(0, 2**70),
+    st.integers(0, 2),
+    st.integers(0, 2),
+).map(lambda e: f"{e[0]}:{'0' * e[3]}{e[1]}:{'0' * e[4]}{e[2]}")
+_valid_wire_text = st.just("-") | st.lists(
+    _entry_text, min_size=1, max_size=6, unique_by=lambda t: t.split(":")[0]
+).map(";".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_wire_text | _wire_text)
+def test_encode_of_decode_is_canonical_and_a_fixed_point(text):
+    try:
+        v = decode(text)
+    except DecodeError:
+        return
+    canonical = encode(v)
+    if canonical != "-":
+        fields = [field.split(":") for field in canonical.split(";")]
+        actors = [actor for actor, _, _ in fields]
+        assert actors == sorted(set(actors))
+        for _, count, timestamp in fields:
+            assert count == str(int(count)) and timestamp == str(int(timestamp))
+    assert decode(canonical) == v
+    assert encode(decode(canonical)) == canonical
 
 
 # --- unary numerals ---------------------------------------------------------

@@ -1,5 +1,7 @@
 """Core clock operation tests: examples, contracts, partial-order laws."""
 
+import copy
+import pickle
 import random
 import sys
 
@@ -387,6 +389,66 @@ def test_vclock_is_immutable_and_hashable():
 
 def test_empty_clock_renders_as_dash():
     assert canonical_text(fresh()) == "-"
+
+
+def rendered(v: VClock) -> str:
+    """The canonical text, rendered afresh from the entries every time."""
+    return ";".join(f"{e.actor}:{e.count}:{e.timestamp}" for e in v.entries) or "-"
+
+
+_actor = st.sampled_from("abcdef") | st.text(min_size=1, max_size=3).filter(is_valid_actor)
+_clocks = st.dictionaries(
+    _actor, st.tuples(st.integers(1, 2**70), st.integers(0, 2**70)), max_size=6
+).map(lambda d: VClock((actor, c, t) for actor, (c, t) in d.items()))
+_sizes = st.lists(st.integers(0, 6), min_size=2, max_size=2).map(sorted)
+_ages = st.lists(st.integers(0, 2**70), min_size=2, max_size=2).map(sorted)
+_bounds = st.builds(lambda s, a: PruneBounds(*s, *a), _sizes, _ages)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clocks, _clocks, _actor, st.integers(0, 2**71), _bounds)
+def test_canonical_text_is_never_stale(v1, v2, actor, now, bounds):
+    # render the inputs first, so the results below are built from cached clocks
+    for v in (v1, v2):
+        assert canonical_text(v) == rendered(v)
+        assert canonical_text(v) is canonical_text(v)
+    derived = [
+        increment(actor, v1, FixedClock(now)),
+        merge(v1, v2),
+        merge(v2, v1),
+        prune(v1, now, bounds),
+    ]
+    for v in derived:
+        assert canonical_text(v) == rendered(v) == str(v)
+        assert canonical_text(v) is canonical_text(v)
+        # the stored text takes no part in equality or hashing
+        twin = VClock(v.entries)
+        assert twin == v and hash(twin) == hash(v)
+
+
+def _pickled(v: VClock) -> VClock:
+    return pickle.loads(pickle.dumps(v))
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, _pickled])
+def test_clocks_copy_and_pickle_by_value(round_trip):
+    text_stored = vc(("b", 2, 7), ("a", 1, 3))
+    assert canonical_text(text_stored) == "a:1:3;b:2:7"
+    for v in (fresh(), vc(("a", 1, 1)), text_stored):
+        twin = round_trip(v)
+        assert type(twin) is VClock and twin == v and twin.entries == v.entries
+        assert canonical_text(twin) == canonical_text(v)
+        with pytest.raises(AttributeError):
+            twin.entries = ()
+
+
+def test_pickles_hold_entries_only():
+    v = vc(("b", 2, 7), ("a", 1, 3))
+    canonical_text(v)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(v, protocol)
+        assert b"a:1:3" not in data
+        assert pickle.loads(data) == v
 
 
 # --- clock sources -------------------------------------------------------------
