@@ -13,10 +13,11 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Protocol
 
 from ._backend import kernels
-from ._kernels_py import ClockEntry
+from ._kernels_py import ClockEntry, _new_tuple
 
 __all__ = [
     "ClockEntry",
@@ -225,6 +226,9 @@ def fresh() -> VClock:
     return _EMPTY
 
 
+_actor_of = itemgetter(0)
+
+
 def increment(actor: str, v: VClock, clock: ClockSource) -> VClock:
     """Advance `actor` by one event.
 
@@ -237,14 +241,12 @@ def increment(actor: str, v: VClock, clock: ClockSource) -> VClock:
         raise ValueError(f"clock source produced a bad timestamp: {now!r}")
     now = int(now)
     entries = v.entries
-    actors = [e.actor for e in entries]
-    i = bisect_left(actors, actor)
-    if i < len(entries) and entries[i].actor == actor:
-        old = entries[i]
-        updated = entries[:i] + (ClockEntry(actor, old.count + 1, now),) + entries[i + 1 :]
+    i = bisect_left(entries, actor, key=_actor_of)
+    if i < len(entries) and entries[i][0] == actor:
+        count, rest = entries[i][1] + 1, entries[i + 1 :]
     else:
-        updated = entries[:i] + (ClockEntry(actor, 1, now),) + entries[i:]
-    return _wrap(updated)
+        count, rest = 1, entries[i:]
+    return _wrap(entries[:i] + (_new_tuple(ClockEntry, (actor, count, now)),) + rest)
 
 
 def equal(v1: VClock, v2: VClock) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import string
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -116,9 +117,13 @@ def build_history(
     """
     events = list(base.events) if base is not None else []
     start = len(events)
+    valid_actors: set[str] = set()
     for i, (actor, received_from) in enumerate(steps, start):
-        if not core.is_valid_actor(actor):
-            raise core.InvalidActorError(f"invalid actor token: {actor!r}")
+        # each distinct actor is validated once; a non-str may be unhashable
+        if not (isinstance(actor, str) and actor in valid_actors):
+            if not core.is_valid_actor(actor):
+                raise core.InvalidActorError(f"invalid actor token: {actor!r}")
+            valid_actors.add(actor)
         if received_from is not None:
             if not 0 <= received_from < i:
                 raise ValueError(
@@ -291,12 +296,18 @@ def random_history(seed: int, events: int, actors: int) -> History:
         raise ValueError("actors must be >= 1")
     rng = random.Random(seed)
     names = [actor_name(i) for i in range(actors)]
+    # before[a][t]: how many events of other actors precede a's t-th event
+    before: list[list[int]] = [[] for _ in range(actors)]
     steps: list[tuple[str, int | None]] = []
     for i in range(events):
-        actor = names[rng.randrange(actors)]
-        candidates = [j for j in range(i) if steps[j][0] != actor]
+        a = rng.randrange(actors)
+        own = before[a]
+        others = i - len(own)
         received_from: int | None = None
-        if candidates and rng.random() < 0.5:
-            received_from = candidates[rng.randrange(len(candidates))]
-        steps.append((actor, received_from))
+        if others and rng.random() < 0.5:
+            # the k-th other-actor event, after the own events that precede it
+            k = rng.randrange(others)
+            received_from = k + bisect_right(own, k)
+        own.append(others)
+        steps.append((names[a], received_from))
     return build_history(tuple(steps))

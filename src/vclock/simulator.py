@@ -25,7 +25,6 @@ __all__ = [
     "integrate_siblings",
     "load_scenario",
     "parse_scenario",
-    "prune_reference",
     "run_scenario",
     "siblings_pairwise_concurrent",
 ]
@@ -42,8 +41,9 @@ class Sibling(NamedTuple):
     clock: VClock
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
+    """One parsed command line: its line number, _OPS op name and checked arguments."""
+
     line_no: int
     op: str
     args: tuple
@@ -206,20 +206,21 @@ def integrate_siblings(existing: Iterable[Sibling], incoming: Iterable[Sibling])
     An incoming version already covered by a present one (Equal or
     descended) is dropped; versions it strictly dominates are replaced;
     anything else joins as a concurrent sibling. The result is canonically
-    sorted by clock text, then value.
+    sorted by clock text, then value. Each (present, incoming) pair is
+    compared once.
     """
     result = list(existing)
     for sib in incoming:
-        covered = False
+        kept = []
         for cur in result:
             c = core.compare(cur.clock, sib.clock)
             if c is Ordering.EQUAL or c is Ordering.DESCENDS:
-                covered = True
                 break
-        if covered:
-            continue
-        result = [cur for cur in result if core.compare(sib.clock, cur.clock) is not Ordering.DESCENDS]
-        result.append(sib)
+            if c is not Ordering.DOMINATED:
+                kept.append(cur)
+        else:
+            kept.append(sib)
+            result = kept
     result.sort(key=_sibling_key)
     return result
 
@@ -232,28 +233,6 @@ def siblings_pairwise_concurrent(siblings: Iterable[Sibling]) -> bool:
             if core.compare(a.clock, b.clock) is not Ordering.CONCURRENT:
                 return False
     return True
-
-
-def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
-    """Rule-literal pruning, written independently of core.prune.
-
-    Re-finds the oldest entry from scratch on every round and re-tests the
-    full removal condition, so it shares no code path with the core
-    implementation. Used to cross-check core.prune.
-    """
-    entries = list(clock.entries)
-    while len(entries) > bounds.small:
-        oldest = min(entries, key=lambda e: (e.timestamp, e.actor))
-        size = len(entries)
-        removable = (
-            size > bounds.small
-            and (size > bounds.large or oldest.timestamp < now - bounds.old)
-            and oldest.timestamp < now - bounds.young
-        )
-        if not removable:
-            break
-        entries.remove(oldest)
-    return VClock(entries)
 
 
 @dataclass

@@ -28,7 +28,9 @@ from vclock.core import (
     prune,
 )
 from vclock.oracle import build_history, check_equivalence, enumerate_histories, random_history
-from vclock.simulator import load_scenario, prune_reference, run_scenario
+from vclock.simulator import load_scenario, run_scenario
+
+from references import prune_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -426,6 +426,30 @@ def test_canonical_text_is_never_stale(v1, v2, actor, now, bounds):
         assert twin == v and hash(twin) == hash(v)
 
 
+def increment_reference(actor: str, v: VClock, now: int) -> VClock:
+    table = {e.actor: (e.count, e.timestamp) for e in v.entries}
+    table[actor] = (table.get(actor, (0, 0))[0] + 1, now)
+    return VClock((a, count, timestamp) for a, (count, timestamp) in table.items())
+
+
+def check_increment(actor: str, v: VClock, now: int) -> None:
+    result = increment(actor, v, FixedClock(now))
+    assert result == increment_reference(actor, v, now)
+    assert all(type(e) is ClockEntry for e in result.entries)
+
+
+# "a" enters first, "c" and "e" in the middle, "g" last; "b", "d", "f" exist
+@pytest.mark.parametrize("actor", "abcdefg")
+def test_increment_equals_a_dict_reference_at_every_position(actor):
+    check_increment(actor, vc(("b", 1, 3), ("d", 2, 4), ("f", 3, 5)), 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clocks, _actor, st.integers(0, 2**71))
+def test_increment_equals_a_dict_reference(v, actor, now):
+    check_increment(actor, v, now)
+
+
 def _pickled(v: VClock) -> VClock:
     return pickle.loads(pickle.dumps(v))
 

@@ -1,11 +1,12 @@
 """Oracle tests: reachability, replay, enumeration, equivalence."""
 
+import hashlib
 import random
 from unittest.mock import patch
 
 import pytest
 
-from vclock import oracle
+from vclock import core, oracle
 from vclock.core import InvalidActorError, Ordering, PruneBounds, VClock, equal, get_counter
 from vclock.oracle import (
     MAX_ENUM_ACTORS,
@@ -123,6 +124,23 @@ def test_build_history_validates_receive_edges():
         build_history((("a", None), ("a", 0)))  # receive from own actor
     with pytest.raises(ValueError):
         build_history((("a", 0),))  # receive from the future
+
+
+def test_build_history_validates_each_distinct_actor_once(monkeypatch):
+    steps = steps_of(random_history(3, 400, 8))
+    calls = []
+    is_valid_actor = core.is_valid_actor
+
+    def counting(token):
+        calls.append(token)
+        return is_valid_actor(token)
+
+    monkeypatch.setattr(core, "is_valid_actor", counting)
+    build_history(steps)
+    # build_history checks each of the 8 actors once; core.increment checks
+    # its actor on every one of the 400 events
+    assert len(calls) == 8 + 400
+    assert sorted(set(calls)) == [actor_name(i) for i in range(8)]
 
 
 # --- extending a base history ---------------------------------------------------
@@ -323,6 +341,22 @@ def test_random_history_varies_with_seed():
         for seed in range(10)
     }
     assert len(shapes) > 1
+
+
+# sha256 over repr(steps_of(h)) of every seed's history, seeds 0-999, pinned from the
+# generator that rebuilt each event's candidate list from scratch
+_RANDOM_STEP_DIGESTS = {
+    (100, 5): "b3111ba352273b688a273ad5fa471848965b9c2741f7822a1624a0a5ff620c22",
+    (400, 8): "ef02103a8091cb3b47f72338a1323caa606ee0e02e5700fcd133fbca2731a66b",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_RANDOM_STEP_DIGESTS), ids=str)
+def test_random_history_steps_are_pinned(shape):
+    digest = hashlib.sha256()
+    for seed in range(1000):
+        digest.update(repr(steps_of(random_history(seed, *shape))).encode())
+    assert digest.hexdigest() == _RANDOM_STEP_DIGESTS[shape]
 
 
 def test_random_history_validates_arguments():

@@ -7,17 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclock.core import Ordering, PruneBounds, VClock, compare, descends, equal, prune
+from vclock import core
+from vclock.codec import decode
+from vclock.core import (
+    Ordering,
+    PruneBounds,
+    VClock,
+    canonical_text,
+    compare,
+    descends,
+    equal,
+    prune,
+)
 from vclock.simulator import (
+    Command,
     ScenarioError,
     Sibling,
     integrate_siblings,
     load_scenario,
     parse_scenario,
-    prune_reference,
     run_scenario,
     siblings_pairwise_concurrent,
 )
+
+from references import prune_reference
 
 
 def run_text(text: str, collapse: bool = True):
@@ -406,6 +419,52 @@ def test_integrate_drops_equal_incoming():
     assert integrate_siblings([a], [b]) == [a]
 
 
+def two_pass_integrate(existing, incoming):
+    """The sibling rule in two scans: a coverage test, then a removal pass."""
+    result = list(existing)
+    for sib in incoming:
+        covering = (Ordering.EQUAL, Ordering.DESCENDS)
+        if any(compare(cur.clock, sib.clock) in covering for cur in result):
+            continue
+        result = [cur for cur in result if compare(sib.clock, cur.clock) is not Ordering.DESCENDS]
+        result.append(sib)
+    return sorted(result, key=lambda s: (canonical_text(s.clock), s.value))
+
+
+# few actors and small counts, so equal counts, dominance and concurrency all
+# occur, and stored lists are often not pairwise concurrent
+_small_clocks = st.dictionaries(
+    st.sampled_from("abc"), st.tuples(st.integers(1, 3), st.integers(0, 2)), max_size=3
+).map(lambda d: VClock((actor, c, t) for actor, (c, t) in d.items()))
+_sibling_lists = st.lists(st.builds(Sibling, st.sampled_from("xyz"), _small_clocks), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sibling_lists, _sibling_lists)
+def test_integrate_equals_the_two_pass_rule(existing, incoming):
+    assert integrate_siblings(existing, incoming) == two_pass_integrate(existing, incoming)
+
+
+def test_integrate_compares_each_stored_incoming_pair_once(monkeypatch):
+    compared = []
+
+    def recording(v1, v2):
+        compared.append(tuple(sorted((canonical_text(v1), canonical_text(v2)))))
+        return compare(v1, v2)
+
+    monkeypatch.setattr(core, "compare", recording)
+    x, y, z = (Sibling(v, vc((a, 2, 0))) for v, a in (("x", "a"), ("y", "b"), ("z", "c")))
+    joins = Sibling("u", vc(("d", 1, 0)))  # concurrent with x, y and z
+    dominates = Sibling("w", vc(("a", 3, 0), ("b", 2, 0)))  # replaces x and y
+    covered = Sibling("v", vc(("c", 1, 0)))  # z descends it
+    result = integrate_siblings([x, y, z], [joins, dominates, covered])
+    assert result == two_pass_integrate([x, y, z], [joins, dominates, covered])
+    assert result == [dominates, z, joins]
+    # 3 pairs for u, 4 for w against [x, y, z, u], 1 for v against z
+    assert len(compared) == 8
+    assert len(set(compared)) == len(compared)
+
+
 # --- prune reference --------------------------------------------------------------
 
 
@@ -473,6 +532,35 @@ def test_full_sync_round_converges_in_any_order():
         assert report.stores["r1"] == report.stores["r2"] == report.stores["r3"]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_sync_round_converges_in_any_drawn_order(data):
+    names = [f"r{i}" for i in range(data.draw(st.integers(2, 4), label="replicas"))]
+    replica = st.sampled_from(names)
+    key = st.sampled_from(["k0", "k1"])
+    lines = [f"replicas {' '.join(names)}"]
+    written: list[str] = []
+    for i in range(data.draw(st.integers(0, 16), label="prefix length")):
+        src, dst, k = data.draw(st.tuples(replica, replica, key))
+        if k in written and src != dst and data.draw(st.booleans(), label="sync"):
+            lines.append(f"sync {src} {dst} {k}")
+        else:
+            lines.append(f"update {src} {k} v{i}")
+            written.append(k)
+    syncs = [(s, d, k) for s in names for d in names if s != d for k in sorted(set(written))]
+    for src, dst, k in data.draw(st.permutations(syncs), label="round"):
+        lines.append(f"sync {src} {dst} {k}")
+    report = run_text("\n".join(lines) + "\n")
+    assert report.ok
+    first = report.stores[names[0]]
+    assert sorted(first) == sorted(set(written))
+    for name in names[1:]:
+        assert report.stores[name] == first
+    for rendered in first.values():
+        clocks = [decode(text.split("@", 1)[1]) for text in rendered]
+        assert siblings_pairwise_concurrent(Sibling("", clock) for clock in clocks)
+
+
 def test_stored_clocks_match_oracle_replay_without_prune():
     from vclock.oracle import build_history
 
@@ -482,10 +570,16 @@ def test_stored_clocks_match_oracle_replay_without_prune():
     report = run_text(text)
     stored = report.stores["r2"]["k"][0]
     clock_text = stored.split("@", 1)[1]
-    from vclock.codec import decode
-
     h = build_history((("r1", None), ("r2", 0)))
     assert equal(decode(clock_text), h.events[1].clock)
+
+
+def test_command_keeps_its_fields_and_is_immutable():
+    cmd = parse_scenario("replicas r1\nupdate r1 k v\n").commands[0]
+    assert Command._fields == ("line_no", "op", "args")
+    assert cmd == Command(line_no=2, op="update", args=("r1", "k", "v"))
+    with pytest.raises(AttributeError):
+        cmd.op = "read"
 
 
 def test_values_with_punctuation_survive():
