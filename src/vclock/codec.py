@@ -67,8 +67,10 @@ def decode(text: str) -> VClock:
 
     Raises a distinct DecodeError subclass per defect: wrong field count,
     non-numeric count/timestamp, zero count, bad actor token, duplicate
-    actor.
+    actor. Text that is not a str raises TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"wire text must be str, got {type(text).__name__}")
     if text == EMPTY_FORM:
         return fresh()
     entries: list[tuple[str, int, int]] = []

@@ -78,6 +78,10 @@ def is_valid_actor(token: str) -> bool:
     )
 
 
+_actor_of = itemgetter(0)
+_age_of = itemgetter(2, 0)  # (timestamp, actor): prune's oldest-first order
+
+
 def _require_actor(token: str) -> None:
     if not is_valid_actor(token):
         raise InvalidActorError(f"invalid actor token: {token!r}")
@@ -97,19 +101,24 @@ class VClock:
     entries: tuple[ClockEntry, ...]
 
     def __init__(self, entries: Iterable[tuple[str, int, int]] = ()):
+        # one pass, entry by entry: actor, then count, then timestamp; the
+        # actor check is inline because a call per entry costs about a
+        # quarter of the pass
         items = []
-        for entry in entries:
-            actor, count, timestamp = entry
-            _require_actor(actor)
+        for actor, count, timestamp in entries:
+            if not is_valid_actor(actor):
+                raise InvalidActorError(f"invalid actor token: {actor!r}")
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
             if not isinstance(timestamp, int) or timestamp < 0:
                 raise ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")
-            items.append(ClockEntry(actor, int(count), int(timestamp)))
-        items.sort(key=lambda e: e.actor)
-        for prev, cur in zip(items, items[1:]):
-            if prev.actor == cur.actor:
-                raise ValueError(f"duplicate actor in clock: {cur.actor!r}")
+            items.append(_new_tuple(ClockEntry, (actor, int(count), int(timestamp))))
+        items.sort(key=_actor_of)
+        if len(set(map(_actor_of, items))) < len(items):
+            # report the first duplicate in actor order
+            for prev, cur in zip(items, items[1:]):
+                if prev[0] == cur[0]:
+                    raise ValueError(f"duplicate actor in clock: {cur[0]!r}")
         object.__setattr__(self, "entries", tuple(items))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -226,9 +235,6 @@ def fresh() -> VClock:
     return _EMPTY
 
 
-_actor_of = itemgetter(0)
-
-
 def increment(actor: str, v: VClock, clock: ClockSource) -> VClock:
     """Advance `actor` by one event.
 
@@ -319,7 +325,7 @@ def prune(v: VClock, now: int, bounds: PruneBounds) -> VClock:
     size = len(entries)
     if size <= bounds.small:
         return v
-    by_age = sorted(entries, key=lambda e: (e.timestamp, e.actor))
+    by_age = sorted(entries, key=_age_of)
     young_cut = now - bounds.young
     old_cut = now - bounds.old
     idx = 0
@@ -333,7 +339,7 @@ def prune(v: VClock, now: int, bounds: PruneBounds) -> VClock:
         size -= 1
     if idx == 0:
         return v
-    survivors = sorted(by_age[idx:], key=lambda e: e.actor)
+    survivors = sorted(by_age[idx:], key=_actor_of)
     return _wrap(tuple(survivors))
 
 

@@ -295,13 +295,16 @@ def random_history(seed: int, events: int, actors: int) -> History:
     if actors < 1:
         raise ValueError("actors must be >= 1")
     rng = random.Random(seed)
-    names = [actor_name(i) for i in range(actors)]
-    # before[a][t]: how many events of other actors precede a's t-th event
-    before: list[list[int]] = [[] for _ in range(actors)]
+    # per drawn actor: its name and own, where own[t] counts the events of
+    # other actors that precede its t-th event; only actors actually drawn
+    # get an entry, so memory is O(events) whatever `actors` is
+    drawn: dict[int, tuple[str, list[int]]] = {}
     steps: list[tuple[str, int | None]] = []
     for i in range(events):
         a = rng.randrange(actors)
-        own = before[a]
+        if a not in drawn:
+            drawn[a] = (actor_name(a), [])
+        name, own = drawn[a]
         others = i - len(own)
         received_from: int | None = None
         if others and rng.random() < 0.5:
@@ -309,5 +312,5 @@ def random_history(seed: int, events: int, actors: int) -> History:
             k = rng.randrange(others)
             received_from = k + bisect_right(own, k)
         own.append(others)
-        steps.append((names[a], received_from))
+        steps.append((name, received_from))
     return build_history(tuple(steps))

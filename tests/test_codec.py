@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclock import codec, core
 from vclock.codec import (
     MATERIALIZATION_LIMIT,
     ZERO,
@@ -107,6 +108,65 @@ def test_decode_errors_share_a_base_class():
     ):
         assert issubclass(exc_type, DecodeError)
         assert issubclass(exc_type, ValueError)
+
+
+@pytest.mark.parametrize("text", [None, 5, b"-", b"a:1:1", ["a:1:1"]], ids=repr)
+def test_decode_rejects_text_that_is_not_a_str(text):
+    with pytest.raises(TypeError) as info:
+        decode(text)
+    assert str(info.value) == f"wire text must be str, got {type(text).__name__}"
+
+
+# (wire text, error class, exact message): fields are checked left to right, and
+# within a field arity, then actor, then digits, then count range, then duplicates
+_DECODE_PRECEDENCE = [
+    ("a b:x:1", ActorTokenError, "bad actor token 'a b' in entry 'a b:x:1'"),
+    (":0:x", ActorTokenError, "bad actor token '' in entry ':0:x'"),
+    ("a:0:x", NumericFieldError, "count and timestamp must be decimal digits in entry 'a:0:x'"),
+    ("a:1:2;a:3:4;b", DuplicateActorError, "duplicate actor 'a'"),
+    ("a:1:2;a:x:1", NumericFieldError,
+     "count and timestamp must be decimal digits in entry 'a:x:1'"),
+    ("a:0:1;a:1:1", CountRangeError, "count must be >= 1 in entry 'a:0:1'"),
+    ("a:0:1;b:x:1", CountRangeError, "count must be >= 1 in entry 'a:0:1'"),
+    ("a:x:1;b:0:1", NumericFieldError,
+     "count and timestamp must be decimal digits in entry 'a:x:1'"),
+    ("b:1:1;a b:1:1;c", ActorTokenError, "bad actor token 'a b' in entry 'a b:1:1'"),
+    ("a:1:1;b b:0:0;a:1:1", ActorTokenError, "bad actor token 'b b' in entry 'b b:0:0'"),
+    ("a:1:1;b:0:1:1", MalformedEntryError, "expected actor:count:timestamp, got 'b:0:1:1'"),
+    ("a:1:2;;", MalformedEntryError, "expected actor:count:timestamp, got ''"),
+]
+
+
+@pytest.mark.parametrize(("text", "error", "message"), _DECODE_PRECEDENCE)
+def test_decode_error_precedence_is_pinned(text, error, message):
+    with pytest.raises(error) as info:
+        decode(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+def test_decode_validation_counts(monkeypatch, k):
+    # decode checks each actor itself and VClock.__init__ checks it again:
+    # 2k actor checks and one validated construction per k-entry text
+    calls = {"actor": 0, "init": 0}
+    is_valid_actor = core.is_valid_actor
+    init = VClock.__init__
+
+    def counting_actor(token):
+        calls["actor"] += 1
+        return is_valid_actor(token)
+
+    def counting_init(self, entries=()):
+        calls["init"] += 1
+        init(self, entries)
+
+    monkeypatch.setattr(core, "is_valid_actor", counting_actor)
+    monkeypatch.setattr(codec, "is_valid_actor", counting_actor)
+    monkeypatch.setattr(VClock, "__init__", counting_init)
+    text = ";".join(f"n{i}:{i + 1}:{i}" for i in reversed(range(k)))
+    assert len(decode(text)) == k
+    assert calls == {"actor": 2 * k, "init": 1}
 
 
 def test_round_trip_identity_on_random_clocks():

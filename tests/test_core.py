@@ -32,6 +32,8 @@ from vclock.core import (
     prune,
 )
 
+from references import vclock_entries_reference
+
 # --- independent mini-oracles over plain dicts -----------------------------
 # These compute the expected results pointwise from {actor: count} maps,
 # sharing no code with the implementation under test.
@@ -376,6 +378,95 @@ def test_vclock_rejects_duplicates_and_bad_fields():
         VClock([("a", 1, -1)])
     with pytest.raises(InvalidActorError):
         VClock([("a;b", 1, 1)])
+
+
+# (entries, exception class, exact message), every message pinned from the
+# construction loop that validated entries through ClockEntry(...)
+_CONSTRUCTOR_ERRORS = [
+    # arity
+    ([("a", 1)], ValueError, "not enough values to unpack (expected 3, got 2)"),
+    ([("a", 1, 2, 3)], ValueError, "too many values to unpack (expected 3)"),
+    ([5], TypeError, "cannot unpack non-iterable int object"),
+    ([None], TypeError, "cannot unpack non-iterable NoneType object"),
+    # actors: not a str, then each way a str breaks the token rule
+    ([(5, 1, 1)], InvalidActorError, "invalid actor token: 5"),
+    ([(None, 1, 1)], InvalidActorError, "invalid actor token: None"),
+    ([(b"a", 1, 1)], InvalidActorError, "invalid actor token: b'a'"),
+    ([("", 1, 1)], InvalidActorError, "invalid actor token: ''"),
+    ([("a b", 1, 1)], InvalidActorError, "invalid actor token: 'a b'"),
+    ([("a:b", 1, 1)], InvalidActorError, "invalid actor token: 'a:b'"),
+    ([("a;b", 1, 1)], InvalidActorError, "invalid actor token: 'a;b'"),
+    ([("a\tb", 1, 1)], InvalidActorError, "invalid actor token: 'a\\tb'"),
+    ([("a\x00", 1, 1)], InvalidActorError, "invalid actor token: 'a\\x00'"),
+    # counts
+    ([("a", 0, 1)], ValueError, "entry count must be an integer >= 1, got 0"),
+    ([("a", -1, 1)], ValueError, "entry count must be an integer >= 1, got -1"),
+    ([("a", 1.5, 1)], ValueError, "entry count must be an integer >= 1, got 1.5"),
+    ([("a", "1", 1)], ValueError, "entry count must be an integer >= 1, got '1'"),
+    ([("a", None, 1)], ValueError, "entry count must be an integer >= 1, got None"),
+    ([("a", False, 1)], ValueError, "entry count must be an integer >= 1, got False"),
+    # timestamps
+    ([("a", 1, -1)], ValueError, "entry timestamp must be an integer >= 0, got -1"),
+    ([("a", 1, 1.0)], ValueError, "entry timestamp must be an integer >= 0, got 1.0"),
+    # duplicates: adjacent only after sorting; the first one in actor order wins
+    ([("b", 1, 1), ("c", 1, 1), ("b", 2, 2)], ValueError, "duplicate actor in clock: 'b'"),
+    ([("c", 1, 1), ("a", 1, 1), ("c", 2, 2), ("a", 2, 2)], ValueError,
+     "duplicate actor in clock: 'a'"),
+    # precedence: within an entry actor, count, timestamp; entries in input order;
+    # duplicates only after every entry passed
+    ([("a b", 0, -1)], InvalidActorError, "invalid actor token: 'a b'"),
+    ([("a", 0, -1)], ValueError, "entry count must be an integer >= 1, got 0"),
+    ([("a", 1, -1), ("a b", 1, 1)], ValueError, "entry timestamp must be an integer >= 0, got -1"),
+    ([("a", 0, 1), ("b", 1, -1)], ValueError, "entry count must be an integer >= 1, got 0"),
+    ([("a", 1, 1), ("a", 1, 1), ("", 1, 1)], InvalidActorError, "invalid actor token: ''"),
+    ([("a", 1, 1), ("a", 1, 1), ("b", 1)], ValueError,
+     "not enough values to unpack (expected 3, got 2)"),
+]
+
+
+@pytest.mark.parametrize(("entries", "error", "message"), _CONSTRUCTOR_ERRORS)
+def test_vclock_constructor_errors_are_pinned(entries, error, message):
+    with pytest.raises(error) as info:
+        VClock(entries)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_vclock_constructor_normalizes_entries():
+    v = VClock([("b", True, False), ("a", 2, True)])
+    assert v.entries == (("a", 2, 1), ("b", 1, 0))
+    for entry in v.entries:
+        assert type(entry) is ClockEntry
+        assert type(entry.count) is int and type(entry.timestamp) is int
+    assert VClock(iter([("a", 1, 1)])).entries == (ClockEntry("a", 1, 1),)
+    assert VClock().entries == ()
+
+
+def _outcome(build, entries):
+    try:
+        return "value", build(entries)
+    except Exception as exc:  # the class and message are the contract
+        return type(exc), str(exc)
+
+
+# actors, counts and timestamps that mix valid values with each kind of bad one
+_any_actor = st.sampled_from(["a", "b", "c", "", "a b", "a:b", "a;b", "\t", 5, None, b"a"])
+_any_number = (
+    st.integers(-2, 3) | st.booleans() | st.sampled_from([1.0, 1.5, "1", None, 2**70])
+)
+_any_entry = st.tuples(_any_actor, _any_number, _any_number) | st.sampled_from(
+    [("a", 1), ("a", 1, 1, 1), (), 7]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_any_entry, max_size=6))
+def test_vclock_constructor_equals_the_reference_loop(entries):
+    kind, got = _outcome(lambda e: VClock(e).entries, entries)
+    expected = _outcome(vclock_entries_reference, entries)
+    assert (kind, got) == expected
+    if kind == "value":
+        assert all(type(e) is ClockEntry for e in got)
 
 
 def test_vclock_is_immutable_and_hashable():

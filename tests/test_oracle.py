@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+import time
 from unittest.mock import patch
 
 import pytest
 
 from vclock import core, oracle
+from vclock.cli import main
 from vclock.core import InvalidActorError, Ordering, PruneBounds, VClock, equal, get_counter
 from vclock.oracle import (
     MAX_ENUM_ACTORS,
@@ -364,6 +366,22 @@ def test_random_history_validates_arguments():
         random_history(1, -1, 2)
     with pytest.raises(ValueError):
         random_history(1, 5, 0)
+
+
+def test_random_history_memory_follows_events_not_declared_actors():
+    # only drawn actors get a name and a bookkeeping list, so a huge actor
+    # count costs nothing until its actors are drawn
+    start = time.perf_counter()
+    h = random_history(0, 3, 10**12)
+    assert time.perf_counter() - start < 0.5
+    assert len(h) == 3
+    # the first event's actor is the seed's first draw
+    assert h.events[0].actor == actor_name(random.Random(0).randrange(10**12))
+
+
+def test_check_random_with_a_huge_actor_count_exits_zero(capsys):
+    assert main(["check", "--random", "1", "3", "99999999999"]) == 0
+    assert capsys.readouterr().err == "checked 1 histories: 0 violation line(s)\n"
 
 
 def test_actor_names_extend_beyond_the_alphabet():
