@@ -58,21 +58,52 @@ class DuplicateActorError(DecodeError):
 
 
 def encode(v: VClock) -> str:
-    """Render a clock as canonical wire text."""
+    """Render a clock as canonical wire text. A non-VClock raises TypeError."""
+    if not isinstance(v, VClock):
+        raise TypeError(f"encode needs a VClock, got {type(v).__name__}")
     return canonical_text(v)
 
 
 def decode(text: str) -> VClock:
     """Parse wire text into a clock, re-sorting entries if needed.
 
-    Raises a distinct DecodeError subclass per defect: wrong field count,
-    non-numeric count/timestamp, zero count, bad actor token, duplicate
-    actor. Text that is not a str raises TypeError.
+    A well-formed text is validated once: this pass checks only what VClock
+    cannot (three ':' fields, ASCII decimal digits, int()'s digit limit), and
+    VClock(entries) checks actors, counts and duplicates. Only a text that
+    fails is read again, field by field, to name its first defect with a
+    distinct DecodeError subclass: wrong field count, bad actor token,
+    non-numeric or over-long count/timestamp, zero count, duplicate actor.
+    Text that is not a str raises TypeError.
     """
     if not isinstance(text, str):
         raise TypeError(f"wire text must be str, got {type(text).__name__}")
     if text == EMPTY_FORM:
         return fresh()
+    # every defect _decode_fields reports makes this pass raise ValueError
+    # (InvalidActorError and VClock's own errors included) or break
+    try:
+        entries = []
+        for field in text.split(";"):
+            actor, count_text, timestamp_text = field.split(":")
+            if not (
+                count_text.isascii()
+                and count_text.isdigit()
+                and timestamp_text.isascii()
+                and timestamp_text.isdigit()
+            ):
+                break
+            entries.append((actor, int(count_text), int(timestamp_text)))
+        else:
+            return VClock(entries)
+    except ValueError:
+        pass
+    return _decode_fields(text)
+
+
+def _decode_fields(text: str) -> VClock:
+    # decode's error path: check each field in turn (arity, actor, digits,
+    # digit count, count range, then duplicates) and raise the first defect's
+    # DecodeError; a text with none still ends in the validated constructor
     entries: list[tuple[str, int, int]] = []
     seen: set[str] = set()
     for field in text.split(";"):

@@ -87,6 +87,15 @@ def _require_actor(token: str) -> None:
         raise InvalidActorError(f"invalid actor token: {token!r}")
 
 
+def _malformed_entry(entry: object, exc: Exception | None = None) -> Exception:
+    # VClock's error path: name an entry that is not an (actor, count,
+    # timestamp) triple; exc is the error its unpacking raised, if it did
+    if isinstance(entry, str):
+        return ValueError(f"a str is not an (actor, count, timestamp) triple: entry {entry!r}")
+    error = TypeError if isinstance(exc, TypeError) else ValueError
+    return error(f"{exc}: entry {entry!r}")
+
+
 class VClock:
     """Immutable vector clock: entries sorted by actor, one entry per actor.
 
@@ -101,14 +110,24 @@ class VClock:
     entries: tuple[ClockEntry, ...]
 
     def __init__(self, entries: Iterable[tuple[str, int, int]] = ()):
-        # one pass, entry by entry: actor, then count, then timestamp; the
-        # actor check is inline because a call per entry costs about a
-        # quarter of the pass
+        # one pass, entry by entry: shape, actor, then count, then timestamp.
+        # The actor check stays a call through the module global, so a wrapper
+        # installed there (a tracer, a counting test) sees every check.
         items = []
-        for actor, count, timestamp in entries:
+        for entry in entries:
+            try:
+                actor, count, timestamp = entry
+            except (TypeError, ValueError) as exc:  # not iterable, or not 3 fields
+                raise _malformed_entry(entry, exc) from None
+            # a 3-character str unpacks into 1-character strs and its count is
+            # never an int, so it fails the actor or the count check
             if not is_valid_actor(actor):
+                if isinstance(entry, str):
+                    raise _malformed_entry(entry)
                 raise InvalidActorError(f"invalid actor token: {actor!r}")
             if not isinstance(count, int) or count < 1:
+                if isinstance(entry, str):
+                    raise _malformed_entry(entry)
                 raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
             if not isinstance(timestamp, int) or timestamp < 0:
                 raise ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")

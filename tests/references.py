@@ -1,6 +1,23 @@
 """Test oracles written independently of the library code they check."""
 
+import re
+
+from vclock.codec import (
+    ActorTokenError,
+    CountRangeError,
+    DuplicateActorError,
+    MalformedEntryError,
+    NumericFieldError,
+)
 from vclock.core import ClockEntry, InvalidActorError, PruneBounds, VClock, is_valid_actor
+
+
+def outcome(build, arg):
+    """("value", build(arg)), or the class and message of the error it raised."""
+    try:
+        return "value", build(arg)
+    except Exception as exc:  # the class and message are the contract
+        return type(exc), str(exc)
 
 
 def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
@@ -28,14 +45,21 @@ def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
 def vclock_entries_reference(entries) -> tuple[ClockEntry, ...]:
     """VClock's validated construction, written as a plain loop.
 
-    Validates each entry in turn (arity, then actor, then count, then
-    timestamp), sorts by actor and reports the first adjacent duplicate.
-    Returns the entries VClock(entries) should hold, or raises the error it
-    should raise. Used to cross-check VClock.__init__.
+    Validates each entry in turn (a str is refused first, then arity, then
+    actor, then count, then timestamp), sorts by actor and reports the first
+    adjacent duplicate. Returns the entries VClock(entries) should hold, or
+    raises the error it should raise. Used to cross-check VClock.__init__.
     """
     items = []
     for entry in entries:
-        actor, count, timestamp = entry
+        if isinstance(entry, str):
+            raise ValueError(f"a str is not an (actor, count, timestamp) triple: entry {entry!r}")
+        try:
+            actor, count, timestamp = entry
+        except TypeError as exc:
+            raise TypeError(f"{exc}: entry {entry!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{exc}: entry {entry!r}") from None
         if not is_valid_actor(actor):
             raise InvalidActorError(f"invalid actor token: {actor!r}")
         if not isinstance(count, int) or count < 1:
@@ -48,3 +72,49 @@ def vclock_entries_reference(entries) -> tuple[ClockEntry, ...]:
         if prev.actor == cur.actor:
             raise ValueError(f"duplicate actor in clock: {cur.actor!r}")
     return tuple(items)
+
+
+# decode's digit rule as a regex: one or more ASCII decimal digits, nothing else
+DECIMAL = re.compile(r"[0-9]+\Z")
+
+
+def decode_reference(text) -> VClock:
+    """codec.decode's field-by-field validation, written as a plain loop.
+
+    Checks that the text is a str, maps "-" to the empty clock, then checks
+    each ';' field in turn: three ':' fields, the actor token, ASCII decimal
+    digits, int()'s digit limit, a count of at least one, and a new actor.
+    Ends in VClock(entries). Returns the clock decode(text) should return, or
+    raises the error it should raise. Used to cross-check codec.decode.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"wire text must be str, got {type(text).__name__}")
+    if text == "-":
+        return VClock()
+    entries = []
+    seen = set()
+    for field in text.split(";"):
+        parts = field.split(":")
+        if len(parts) != 3:
+            raise MalformedEntryError(f"expected actor:count:timestamp, got {field!r}")
+        actor, count_text, timestamp_text = parts
+        if not is_valid_actor(actor):
+            raise ActorTokenError(f"bad actor token {actor!r} in entry {field!r}")
+        if not (DECIMAL.match(count_text) and DECIMAL.match(timestamp_text)):
+            raise NumericFieldError(
+                f"count and timestamp must be decimal digits in entry {field!r}"
+            )
+        try:
+            count = int(count_text)
+            timestamp = int(timestamp_text)
+        except ValueError:
+            raise NumericFieldError(
+                f"count or timestamp has too many digits in entry {field[:40]!r}..."
+            ) from None
+        if count == 0:
+            raise CountRangeError(f"count must be >= 1 in entry {field!r}")
+        if actor in seen:
+            raise DuplicateActorError(f"duplicate actor {actor!r}")
+        seen.add(actor)
+        entries.append((actor, count, timestamp))
+    return VClock(entries)

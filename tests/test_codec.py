@@ -1,7 +1,6 @@
 """Wire codec and unary numeral tests."""
 
 import random
-import re
 import sys
 
 import pytest
@@ -29,6 +28,8 @@ from vclock.codec import (
 )
 from vclock.core import ClockEntry, VClock, fresh, is_valid_actor, merge
 
+from references import DECIMAL, decode_reference, outcome
+
 
 def test_encode_empty():
     assert encode(fresh()) == "-"
@@ -43,6 +44,13 @@ def test_encode_merge_order_independent():
     v1 = VClock([("a", 2, 10), ("b", 1, 5)])
     v2 = VClock([("a", 1, 12), ("c", 3, 7)])
     assert encode(merge(v1, v2)) == encode(merge(v2, v1))
+
+
+@pytest.mark.parametrize("value", ["a:1:1", None, ("a", 1, 1)], ids=repr)
+def test_encode_rejects_what_is_not_a_clock(value):
+    with pytest.raises(TypeError) as info:
+        encode(value)
+    assert str(info.value) == f"encode needs a VClock, got {type(value).__name__}"
 
 
 def test_decode_empty():
@@ -145,10 +153,42 @@ def test_decode_error_precedence_is_pinned(text, error, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("k", [1, 2, 16])
-def test_decode_validation_counts(monkeypatch, k):
-    # decode checks each actor itself and VClock.__init__ checks it again:
-    # 2k actor checks and one validated construction per k-entry text
+# one wire field: well formed, or carrying one drawn defect. Actors come from a
+# small pool, so texts of several fields often repeat one.
+_DEFECTS = ["arity", "actor", "digits", "overlong", "zero"]
+
+
+@st.composite
+def _field_text(draw):
+    actor = draw(st.sampled_from(["a", "b", "c", "é"]))
+    numbers = [str(draw(st.integers(1, 99))), str(draw(st.integers(0, 10**6)))]
+    defect = draw(st.sampled_from([None, None, *_DEFECTS]))
+    if defect == "arity":
+        return draw(st.sampled_from(["", actor, f"{actor}:1", f"{actor}:1:2:3", "::"]))
+    if defect == "actor":
+        actor = draw(st.sampled_from(["", "a b", " ", "\x07", "a\tb", "\u2028"]))
+    elif defect == "zero":
+        numbers[0] = draw(st.sampled_from(["0", "00"]))
+    elif defect is not None:
+        bad = OVERLONG if defect == "overlong" else draw(st.sampled_from(["²", "+1", " 1", "1_0"]))
+        numbers[draw(st.integers(0, 1))] = bad
+    return f"{actor}:{numbers[0]}:{numbers[1]}"
+
+
+_defective_text = st.lists(_field_text(), min_size=1, max_size=6).map(";".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_defective_text | st.sampled_from(["-", None, b"a:1:1"]))
+def test_decode_equals_the_reference_loop(text):
+    # same clock, or the same exception class and message, as the plain
+    # field-by-field loop; several defects per text exercise the precedence
+    assert outcome(decode, text) == outcome(decode_reference, text)
+
+
+@pytest.fixture
+def validation_calls(monkeypatch):
+    """Count actor checks and validated constructions, wherever they run."""
     calls = {"actor": 0, "init": 0}
     is_valid_actor = core.is_valid_actor
     init = VClock.__init__
@@ -164,9 +204,40 @@ def test_decode_validation_counts(monkeypatch, k):
     monkeypatch.setattr(core, "is_valid_actor", counting_actor)
     monkeypatch.setattr(codec, "is_valid_actor", counting_actor)
     monkeypatch.setattr(VClock, "__init__", counting_init)
-    text = ";".join(f"n{i}:{i + 1}:{i}" for i in reversed(range(k)))
-    assert len(decode(text)) == k
-    assert calls == {"actor": 2 * k, "init": 1}
+    return calls
+
+
+def _wire_entries(k):
+    return [f"n{i}:{i + 1}:{i}" for i in reversed(range(k))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+def test_decode_validation_counts(validation_calls, k):
+    # a well-formed text is validated once, by VClock.__init__: k actor checks
+    # and one validated construction per k-entry text
+    assert len(decode(";".join(_wire_entries(k)))) == k
+    assert validation_calls == {"actor": k, "init": 1}
+
+
+@pytest.mark.parametrize(
+    ("k", "last", "error", "message"),
+    [
+        (1, "a b:1:1", ActorTokenError, "bad actor token 'a b' in entry 'a b:1:1'"),
+        (2, "a b:1:1", ActorTokenError, "bad actor token 'a b' in entry 'a b:1:1'"),
+        (16, "a b:1:1", ActorTokenError, "bad actor token 'a b' in entry 'a b:1:1'"),
+        (2, "n0:9:9", DuplicateActorError, "duplicate actor 'n0'"),
+        (16, "n0:9:9", DuplicateActorError, "duplicate actor 'n0'"),
+    ],
+)
+def test_decode_validation_counts_on_a_bad_last_entry(validation_calls, k, last, error, message):
+    # the constructor finds the defect, then one re-read names it: at most
+    # 2k actor checks for a k-entry text
+    with pytest.raises(error) as info:
+        decode(";".join(_wire_entries(k - 1) + [last]))
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert validation_calls["actor"] <= 2 * k
+    assert validation_calls["init"] <= 1
 
 
 def test_round_trip_identity_on_random_clocks():
@@ -184,10 +255,8 @@ def test_encode_after_decode_canonicalizes():
     assert encode(decode("b:1:106;a:2:105")) == "a:2:105;b:1:106"
 
 
-# decode's digit rule written as a regex, the reference for its
+# DECIMAL is decode's digit rule written as a regex, the reference for its
 # str.isascii() and str.isdigit() test (the scenario parser's rule)
-_DECIMAL = re.compile(r"[0-9]+\Z")
-
 _FIELD_EDGES = ["", "0", "7", "007", "12\n", "\n12", " 1", "1 ", "+1", "-1", "1_000", "1²"]
 
 
@@ -195,12 +264,12 @@ def test_decode_digit_rule_matches_the_regex():
     numeric = []
     for cp in range(sys.maxunicode + 1):
         ch = chr(cp)
-        assert (ch.isascii() and ch.isdigit()) is bool(_DECIMAL.match(ch)), hex(cp)
+        assert (ch.isascii() and ch.isdigit()) is bool(DECIMAL.match(ch)), hex(cp)
         if ch.isnumeric():
             numeric.append(ch)
     for field in numeric + _FIELD_EDGES:
         for text in (f"a:{field}:5", f"a:1:{field}"):
-            if _DECIMAL.match(field):
+            if DECIMAL.match(field):
                 try:
                     decode(text)
                 except CountRangeError:

@@ -32,7 +32,7 @@ from vclock.core import (
     prune,
 )
 
-from references import vclock_entries_reference
+from references import outcome, vclock_entries_reference
 
 # --- independent mini-oracles over plain dicts -----------------------------
 # These compute the expected results pointwise from {actor: count} maps,
@@ -381,13 +381,15 @@ def test_vclock_rejects_duplicates_and_bad_fields():
 
 
 # (entries, exception class, exact message), every message pinned from the
-# construction loop that validated entries through ClockEntry(...)
+# construction loop that validated entries through ClockEntry(...), except that
+# an entry that is not a triple is now named in its message
 _CONSTRUCTOR_ERRORS = [
     # arity
-    ([("a", 1)], ValueError, "not enough values to unpack (expected 3, got 2)"),
-    ([("a", 1, 2, 3)], ValueError, "too many values to unpack (expected 3)"),
-    ([5], TypeError, "cannot unpack non-iterable int object"),
-    ([None], TypeError, "cannot unpack non-iterable NoneType object"),
+    ([("a", 1)], ValueError, "not enough values to unpack (expected 3, got 2): entry ('a', 1)"),
+    ([("a", 1, 2, 3)], ValueError,
+     "too many values to unpack (expected 3): entry ('a', 1, 2, 3)"),
+    ([5], TypeError, "cannot unpack non-iterable int object: entry 5"),
+    ([None], TypeError, "cannot unpack non-iterable NoneType object: entry None"),
     # actors: not a str, then each way a str breaks the token rule
     ([(5, 1, 1)], InvalidActorError, "invalid actor token: 5"),
     ([(None, 1, 1)], InvalidActorError, "invalid actor token: None"),
@@ -420,7 +422,15 @@ _CONSTRUCTOR_ERRORS = [
     ([("a", 0, 1), ("b", 1, -1)], ValueError, "entry count must be an integer >= 1, got 0"),
     ([("a", 1, 1), ("a", 1, 1), ("", 1, 1)], InvalidActorError, "invalid actor token: ''"),
     ([("a", 1, 1), ("a", 1, 1), ("b", 1)], ValueError,
-     "not enough values to unpack (expected 3, got 2)"),
+     "not enough values to unpack (expected 3, got 2): entry ('b', 1)"),
+    # a str entry is named as one, whichever check it fails first
+    (["abc"], ValueError, "a str is not an (actor, count, timestamp) triple: entry 'abc'"),
+    ([" bc"], ValueError, "a str is not an (actor, count, timestamp) triple: entry ' bc'"),
+    (["ab"], ValueError, "a str is not an (actor, count, timestamp) triple: entry 'ab'"),
+    ([""], ValueError, "a str is not an (actor, count, timestamp) triple: entry ''"),
+    ([("a", 1, 1), "a11"], ValueError,
+     "a str is not an (actor, count, timestamp) triple: entry 'a11'"),
+    ([("a", 0, 1), "abc"], ValueError, "entry count must be an integer >= 1, got 0"),
 ]
 
 
@@ -442,28 +452,21 @@ def test_vclock_constructor_normalizes_entries():
     assert VClock().entries == ()
 
 
-def _outcome(build, entries):
-    try:
-        return "value", build(entries)
-    except Exception as exc:  # the class and message are the contract
-        return type(exc), str(exc)
-
-
 # actors, counts and timestamps that mix valid values with each kind of bad one
 _any_actor = st.sampled_from(["a", "b", "c", "", "a b", "a:b", "a;b", "\t", 5, None, b"a"])
 _any_number = (
     st.integers(-2, 3) | st.booleans() | st.sampled_from([1.0, 1.5, "1", None, 2**70])
 )
 _any_entry = st.tuples(_any_actor, _any_number, _any_number) | st.sampled_from(
-    [("a", 1), ("a", 1, 1, 1), (), 7]
+    [("a", 1), ("a", 1, 1, 1), (), 7, "abc", " bc", "ab", ""]
 )
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_any_entry, max_size=6))
 def test_vclock_constructor_equals_the_reference_loop(entries):
-    kind, got = _outcome(lambda e: VClock(e).entries, entries)
-    expected = _outcome(vclock_entries_reference, entries)
+    kind, got = outcome(lambda e: VClock(e).entries, entries)
+    expected = outcome(vclock_entries_reference, entries)
     assert (kind, got) == expected
     if kind == "value":
         assert all(type(e) is ClockEntry for e in got)
