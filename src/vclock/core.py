@@ -88,12 +88,15 @@ def _require_actor(token: str) -> None:
 
 
 def _malformed_entry(entry: object, exc: Exception | None = None) -> Exception:
-    # VClock's error path: name an entry that is not an (actor, count,
-    # timestamp) triple; exc is the error its unpacking raised, if it did
-    if isinstance(entry, str):
-        return ValueError(f"a str is not an (actor, count, timestamp) triple: entry {entry!r}")
-    error = TypeError if isinstance(exc, TypeError) else ValueError
-    return error(f"{exc}: entry {entry!r}")
+    # VClock's error path: name an iterable entry other than a tuple or list
+    # (a str, bytes, dict, set, range, ...) by its type; exc is the error its
+    # unpacking raised, if it did, and a TypeError there means not iterable
+    if isinstance(exc, TypeError):
+        return TypeError(f"{exc}: entry {entry!r}")
+    if not isinstance(entry, (tuple, list)):
+        kind = type(entry).__name__
+        return ValueError(f"a {kind} is not an (actor, count, timestamp) triple: entry {entry!r}")
+    return ValueError(f"{exc}: entry {entry!r}")
 
 
 class VClock:
@@ -119,17 +122,19 @@ class VClock:
                 actor, count, timestamp = entry
             except (TypeError, ValueError) as exc:  # not iterable, or not 3 fields
                 raise _malformed_entry(entry, exc) from None
-            # a 3-character str unpacks into 1-character strs and its count is
-            # never an int, so it fails the actor or the count check
+            # an entry of another type that fails a check is named by its type,
+            # not by whichever of its elements unpacked into the failing field
             if not is_valid_actor(actor):
-                if isinstance(entry, str):
+                if not isinstance(entry, (tuple, list)):
                     raise _malformed_entry(entry)
                 raise InvalidActorError(f"invalid actor token: {actor!r}")
             if not isinstance(count, int) or count < 1:
-                if isinstance(entry, str):
+                if not isinstance(entry, (tuple, list)):
                     raise _malformed_entry(entry)
                 raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
             if not isinstance(timestamp, int) or timestamp < 0:
+                if not isinstance(entry, (tuple, list)):
+                    raise _malformed_entry(entry)
                 raise ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")
             items.append(_new_tuple(ClockEntry, (actor, int(count), int(timestamp))))
         items.sort(key=_actor_of)

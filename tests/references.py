@@ -2,6 +2,7 @@
 
 import re
 
+from vclock import _backend
 from vclock.codec import (
     ActorTokenError,
     CountRangeError,
@@ -9,7 +10,8 @@ from vclock.codec import (
     MalformedEntryError,
     NumericFieldError,
 )
-from vclock.core import ClockEntry, InvalidActorError, PruneBounds, VClock, is_valid_actor
+from vclock.core import ClockEntry, InvalidActorError, Ordering, PruneBounds, VClock, is_valid_actor
+from vclock.oracle import Violation
 
 
 def outcome(build, arg):
@@ -45,33 +47,46 @@ def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
 def vclock_entries_reference(entries) -> tuple[ClockEntry, ...]:
     """VClock's validated construction, written as a plain loop.
 
-    Validates each entry in turn (a str is refused first, then arity, then
-    actor, then count, then timestamp), sorts by actor and reports the first
-    adjacent duplicate. Returns the entries VClock(entries) should hold, or
-    raises the error it should raise. Used to cross-check VClock.__init__.
+    Validates each entry in turn (arity, then actor, then count, then
+    timestamp); an entry that is not a tuple or list and fails with a
+    ValueError is refused as a whole, named by its type. Then sorts by actor
+    and reports the first adjacent duplicate. Returns the entries
+    VClock(entries) should hold, or raises the error it should raise. Used
+    to cross-check VClock.__init__.
     """
     items = []
     for entry in entries:
-        if isinstance(entry, str):
-            raise ValueError(f"a str is not an (actor, count, timestamp) triple: entry {entry!r}")
         try:
-            actor, count, timestamp = entry
-        except TypeError as exc:
-            raise TypeError(f"{exc}: entry {entry!r}") from None
-        except ValueError as exc:
-            raise ValueError(f"{exc}: entry {entry!r}") from None
-        if not is_valid_actor(actor):
-            raise InvalidActorError(f"invalid actor token: {actor!r}")
-        if not isinstance(count, int) or count < 1:
-            raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
-        if not isinstance(timestamp, int) or timestamp < 0:
-            raise ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")
-        items.append(ClockEntry(actor, int(count), int(timestamp)))
+            items.append(_entry_reference(entry))
+        except ValueError:
+            if isinstance(entry, (tuple, list)):
+                raise
+            raise ValueError(
+                f"a {type(entry).__name__} is not an (actor, count, timestamp) triple: "
+                f"entry {entry!r}"
+            ) from None
     items.sort(key=lambda e: e.actor)
     for prev, cur in zip(items, items[1:]):
         if prev.actor == cur.actor:
             raise ValueError(f"duplicate actor in clock: {cur.actor!r}")
     return tuple(items)
+
+
+def _entry_reference(entry) -> ClockEntry:
+    # one entry's checks, in order: arity, actor, count, timestamp
+    try:
+        actor, count, timestamp = entry
+    except TypeError as exc:
+        raise TypeError(f"{exc}: entry {entry!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{exc}: entry {entry!r}") from None
+    if not is_valid_actor(actor):
+        raise InvalidActorError(f"invalid actor token: {actor!r}")
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
+    if not isinstance(timestamp, int) or timestamp < 0:
+        raise ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")
+    return ClockEntry(actor, int(count), int(timestamp))
 
 
 # decode's digit rule as a regex: one or more ASCII decimal digits, nothing else
@@ -118,3 +133,44 @@ def decode_reference(text) -> VClock:
         seen.add(actor)
         entries.append((actor, count, timestamp))
     return VClock(entries)
+
+
+# compare_entries' result codes, in code order, and the same orderings seen
+# from the other side of the pair
+_CODE_ORDERINGS = (Ordering.EQUAL, Ordering.DESCENDS, Ordering.DOMINATED, Ordering.CONCURRENT)
+_CODE_MIRRORS = (Ordering.EQUAL, Ordering.DOMINATED, Ordering.DESCENDS, Ordering.CONCURRENT)
+
+
+def check_equivalence_reference(h, since=0) -> list[Violation]:
+    """oracle.check_equivalence as a plain pair loop.
+
+    Collects each event's causal past as a set from the events'
+    predecessors, then, for every later event j >= since and every i < j in
+    order, compares the two snapshots with kernels.compare_entries (looked up
+    when it runs, so a patched kernel is seen) and reports a pair whose
+    clocks disagree with the graph in both orientations. Used to cross-check
+    check_equivalence.
+    """
+    past = []
+    for ev in h.events:
+        ancestors = set()
+        for p in ev.predecessors:
+            ancestors |= past[p]
+            ancestors.add(p)
+        past.append(ancestors)
+    clocks = [ev.clock for ev in h.events]
+    violations = []
+    for j in range(since, len(h.events)):
+        for i in range(j):
+            code = _backend.kernels.compare_entries(clocks[i].entries, clocks[j].entries)
+            if i in past[j]:
+                if code == _backend.kernels.DOMINATED:
+                    continue
+                graph, mirror_graph = "hb", "inverse"
+            else:
+                if code == _backend.kernels.CONCURRENT:
+                    continue
+                graph = mirror_graph = "concurrent"
+            violations.append(Violation(i, j, graph, _CODE_ORDERINGS[code]))
+            violations.append(Violation(j, i, mirror_graph, _CODE_MIRRORS[code]))
+    return violations

@@ -431,6 +431,24 @@ _CONSTRUCTOR_ERRORS = [
     ([("a", 1, 1), "a11"], ValueError,
      "a str is not an (actor, count, timestamp) triple: entry 'a11'"),
     ([("a", 0, 1), "abc"], ValueError, "entry count must be an integer >= 1, got 0"),
+    # so is any other iterable that is not a tuple or list, whichever check it
+    # fails, and not by the element that unpacked into the failing field
+    ([b"abc"], ValueError, "a bytes is not an (actor, count, timestamp) triple: entry b'abc'"),
+    ([b"ab"], ValueError, "a bytes is not an (actor, count, timestamp) triple: entry b'ab'"),
+    ([{"a": 1, "b": 2, "c": 3}], ValueError,
+     "a dict is not an (actor, count, timestamp) triple: entry {'a': 1, 'b': 2, 'c': 3}"),
+    ([{"a": 1, 1: 2, -1: 3}], ValueError,
+     "a dict is not an (actor, count, timestamp) triple: entry {'a': 1, 1: 2, -1: 3}"),
+    ([{1, 2, 3}], ValueError, "a set is not an (actor, count, timestamp) triple: entry {1, 2, 3}"),
+    ([frozenset([1, 2])], ValueError,
+     "a frozenset is not an (actor, count, timestamp) triple: entry frozenset({1, 2})"),
+    ([range(1, 4)], ValueError,
+     "a range is not an (actor, count, timestamp) triple: entry range(1, 4)"),
+    ([("a", 1, 1), range(2)], ValueError,
+     "a range is not an (actor, count, timestamp) triple: entry range(0, 2)"),
+    # a tuple subclass and a list are triples
+    ([ClockEntry("a", 0, 1)], ValueError, "entry count must be an integer >= 1, got 0"),
+    ([["a", 1, -1]], ValueError, "entry timestamp must be an integer >= 0, got -1"),
 ]
 
 
@@ -440,6 +458,17 @@ def test_vclock_constructor_errors_are_pinned(entries, error, message):
         VClock(entries)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_vclock_names_a_set_of_strs_the_same_way_each_run():
+    # its iteration order follows the per-process str hash, so the element
+    # that reaches the failing field varies from run to run; the message
+    # names the set, whatever that order is
+    entry = {"a", "b", "c"}
+    with pytest.raises(ValueError) as info:
+        VClock([entry])
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"a set is not an (actor, count, timestamp) triple: entry {entry!r}"
 
 
 def test_vclock_constructor_normalizes_entries():
@@ -459,6 +488,7 @@ _any_number = (
 )
 _any_entry = st.tuples(_any_actor, _any_number, _any_number) | st.sampled_from(
     [("a", 1), ("a", 1, 1, 1), (), 7, "abc", " bc", "ab", ""]
+    + [b"abc", b"a", {"a": 1, 1: 0, 2: 0}, {"a": 0, "b": 0}, {1, 2, 3}, range(3), ["a", 1, 1]]
 )
 
 

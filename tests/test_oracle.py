@@ -6,8 +6,10 @@ import time
 from unittest.mock import patch
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from vclock import core, oracle
+from vclock import _backend, core, oracle
 from vclock.cli import main
 from vclock.core import InvalidActorError, Ordering, PruneBounds, VClock, equal, get_counter
 from vclock.oracle import (
@@ -24,6 +26,8 @@ from vclock.oracle import (
     random_history,
     replay_clocks,
 )
+
+from references import check_equivalence_reference
 
 
 def vc(*triples):
@@ -64,6 +68,14 @@ def test_happened_before_rejects_unknown_ids():
         happened_before(h, 0, 1)
     with pytest.raises(ValueError):
         happened_before(h, -1, 0)
+
+
+@pytest.mark.parametrize(("e1", "e2"), [(False, True), (0, True), (False, 1)])
+def test_happened_before_rejects_bools(e1, e2):
+    h = build_history((("a", None), ("b", 0)))
+    bad = e1 if isinstance(e1, bool) else e2
+    with pytest.raises(ValueError, match=rf"^unknown event id: {bad}$"):
+        happened_before(h, e1, e2)
 
 
 def test_transitivity_on_random_histories():
@@ -277,6 +289,82 @@ def test_check_enumerated_equals_the_full_check(fault, request):
     reported = sum(1 for _, report in checked if report)
     # the fault leaves some histories clean: 1,381 of the 1,913 report violations
     assert reported == (1381 if fault else 0)
+
+
+# prune bounds tight enough that pruned snapshots lose causality
+_prune_bounds = st.builds(
+    lambda small, extra, young, stretch: PruneBounds(small, small + extra, young, young + stretch),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def pruned_histories(draw):
+    """A history of 0-80 events over 1-6 actors, pruned at drawn events, and a since."""
+    actors = draw(st.integers(1, 6))
+    steps = []
+    for _ in range(draw(st.integers(0, 80))):
+        actor = actor_name(draw(st.integers(0, actors - 1)))
+        senders = [k for k, (other, _) in enumerate(steps) if other != actor]
+        received_from = draw(st.none() | st.sampled_from(senders)) if senders else None
+        steps.append((actor, received_from))
+    n = len(steps)
+    prune_at = None
+    if n:
+        prune_at = draw(st.dictionaries(st.integers(0, n - 1), _prune_bounds, max_size=6))
+    return build_history(steps, prune_at), draw(st.integers(0, n))
+
+
+# pruning drops e3's entry for its sender e0, so of row 3's three pairs only (0, 3) disagrees
+_ONE_PAIR_ROW = build_history(
+    (("a", None), ("b", None), ("d", None), ("c", 0)), {3: PruneBounds(1, 1, 0, 0)}
+)
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "faulty-kernel"])
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=pruned_histories())
+@example(case=(_ONE_PAIR_ROW, 0))
+@example(case=(_ONE_PAIR_ROW, 3))
+def test_check_equals_the_reference_pair_loop(fault, request, case):
+    if fault:
+        request.getfixturevalue("faulty_compare")
+    h, since = case
+    assert check_equivalence(h, since=since) == check_equivalence_reference(h, since)
+
+
+def test_one_pair_row_reports_one_pair():
+    assert check_equivalence(_ONE_PAIR_ROW, since=3) == [
+        Violation(0, 3, "hb", Ordering.CONCURRENT),
+        Violation(3, 0, "inverse", Ordering.CONCURRENT),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=pruned_histories())
+def test_check_calls_the_kernel_once_per_checked_pair(case):
+    h, since = case
+    entry_seqs = [ev.clock.entries for ev in h.events]
+    index = {id(entries): k for k, entries in enumerate(entry_seqs)}
+    assert len(index) == len(h)  # every snapshot's entries are a distinct object
+    compare_entries = _backend.kernels.compare_entries
+    calls = []
+
+    def recording(a, b):
+        calls.append((index[id(a)], index[id(b)]))
+        return compare_entries(a, b)
+
+    with patch.object(_backend.kernels, "compare_entries", recording):
+        check_equivalence(h, since=since)
+    n = len(h)
+    assert len(calls) == n * (n - 1) // 2 - since * (since - 1) // 2
+    # every checked pair once, in (earlier, later) argument order; any call order
+    assert sorted(calls) == [(i, j) for i in range(n) for j in range(max(i + 1, since), n)]
 
 
 def test_violation_render_format():
