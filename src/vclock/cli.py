@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import codec, oracle
 from .core import FixedClock, PruneBounds, VClock, compare, descends, increment, merge, prune
@@ -25,7 +24,7 @@ _BENCH_GRID = [10**k for k in range(2, 8)]
 
 
 class _UsageError(Exception):
-    pass
+    """A rejected input: main prints it as one `error: ` line and returns 2."""
 
 
 def _decode_arg(name: str, text: str) -> VClock:
@@ -35,39 +34,40 @@ def _decode_arg(name: str, text: str) -> VClock:
         raise _UsageError(f"argument {name}: {exc}") from exc
 
 
-def _cmd_clock(args: argparse.Namespace) -> int:
-    op = args.clock_op
+# name -> (help text, result line) of each two-clock operation
+_PAIR_OPS = {
+    "compare": ("four-way comparison", lambda a, b: compare(a, b).value),
+    "merge": ("per-actor maximum", lambda a, b: codec.encode(merge(a, b))),
+    "descends": ("left covers right?", lambda a, b: "true" if descends(a, b) else "false"),
+}
+
+
+def _cmd_pair(args: argparse.Namespace) -> int:
+    left = _decode_arg("left", args.left)
+    right = _decode_arg("right", args.right)
+    print(_PAIR_OPS[args.clock_op][1](left, right))
+    return 0
+
+
+def _cmd_increment(args: argparse.Namespace) -> int:
+    v = _decode_arg("clock", args.clock)
     try:
-        if op in ("compare", "merge", "descends"):
-            left = _decode_arg("left", args.left)
-            right = _decode_arg("right", args.right)
-        if op == "compare":
-            print(compare(left, right).value)
-        elif op == "merge":
-            print(codec.encode(merge(left, right)))
-        elif op == "descends":
-            print("true" if descends(left, right) else "false")
-        elif op == "increment":
-            v = _decode_arg("clock", args.clock)
-            try:
-                result = increment(args.actor, v, FixedClock(args.at))
-            except ValueError as exc:
-                raise _UsageError(f"argument actor/--at: {exc}") from exc
-            print(codec.encode(result))
-        elif op == "prune":
-            v = _decode_arg("clock", args.clock)
-            try:
-                bounds = PruneBounds(args.small, args.large, args.young, args.old)
-            except ValueError as exc:
-                raise _UsageError(f"argument --small/--large/--young/--old: {exc}") from exc
-            if args.now < 0:
-                raise _UsageError("argument --now: must be >= 0")
-            print(codec.encode(prune(v, args.now, bounds)))
-        else:  # pragma: no cover - argparse restricts choices
-            raise AssertionError(op)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        result = increment(args.actor, v, FixedClock(args.at))
+    except ValueError as exc:
+        raise _UsageError(f"argument actor/--at: {exc}") from exc
+    print(codec.encode(result))
+    return 0
+
+
+def _cmd_prune(args: argparse.Namespace) -> int:
+    v = _decode_arg("clock", args.clock)
+    try:
+        bounds = PruneBounds(args.small, args.large, args.young, args.old)
+    except ValueError as exc:
+        raise _UsageError(f"argument --small/--large/--young/--old: {exc}") from exc
+    if args.now < 0:
+        raise _UsageError("argument --now: must be >= 0")
+    print(codec.encode(prune(v, args.now, bounds)))
     return 0
 
 
@@ -75,19 +75,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read scenario: {exc}") from exc
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from exc
     report = run_scenario(scenario, collapse=not args.no_collapse)
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(report.text)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(report.text)
     return 0 if report.ok else 1
@@ -107,8 +104,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             seeds, events, actors = args.random
             if seeds < 1:
-                print("error: need at least one seed", file=sys.stderr)
-                return 2
+                raise _UsageError("need at least one seed")
             for seed in range(seeds):
                 history = oracle.random_history(seed, events, actors)
                 violations = oracle.check_equivalence(history)
@@ -117,33 +113,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     rendered.extend(v.render() for v in violations)
                 checked += 1
     except ValueError as exc:  # includes oracle.EnumerationBudgetError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from exc
     for line in sorted(rendered):
         print(line)
     print(f"checked {checked} histories: {len(rendered)} violation line(s)", file=sys.stderr)
     return 0 if not rendered else 1
 
 
-def _best_micros(fn, repeats: int = 3) -> float:
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best / 1000.0
+def _best_micros(fn) -> float:
+    import timeit  # imported on use, so `import vclock.cli` does not pay for it
+
+    # timeit switches the collector off; "gc.enable()" times fn with it on
+    return min(timeit.repeat(fn, "gc.enable()", repeat=3, number=1)) * 1e6
 
 
 def _cmd_peano_bench(args: argparse.Namespace) -> int:
     max_n = args.max_n
     if max_n < 0 or max_n > codec.MATERIALIZATION_LIMIT:
-        print(
-            f"error: max_n must be between 0 and {codec.MATERIALIZATION_LIMIT}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError(f"max_n must be between 0 and {codec.MATERIALIZATION_LIMIT}")
     print("n,nodes,encode_micros,decode_micros")
     for n in _BENCH_GRID:
         if n > max_n:
@@ -174,19 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     clock = sub.add_parser("clock", help="operations on canonical clock texts")
     clock_sub = clock.add_subparsers(dest="clock_op", required=True)
-    p = clock_sub.add_parser("compare", help="four-way comparison")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = clock_sub.add_parser("merge", help="per-actor maximum")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = clock_sub.add_parser("descends", help="left covers right?")
-    p.add_argument("left")
-    p.add_argument("right")
+    for name, (help_text, _) in _PAIR_OPS.items():
+        p = clock_sub.add_parser(name, help=help_text)
+        p.add_argument("left")
+        p.add_argument("right")
+        p.set_defaults(func=_cmd_pair)
     p = clock_sub.add_parser("increment", help="advance one actor")
     p.add_argument("actor")
     p.add_argument("clock")
     p.add_argument("--at", type=int, required=True, help="timestamp for the new entry")
+    p.set_defaults(func=_cmd_increment)
     p = clock_sub.add_parser("prune", help="apply the size/age pruning rule")
     p.add_argument("clock")
     p.add_argument("--now", type=int, required=True)
@@ -194,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--large", type=int, required=True)
     p.add_argument("--young", type=int, required=True)
     p.add_argument("--old", type=int, required=True)
-    clock.set_defaults(func=_cmd_clock)
+    p.set_defaults(func=_cmd_prune)
 
     run = sub.add_parser("run", help="execute a scenario script")
     run.add_argument("scenario", help="path to the scenario file")
@@ -234,7 +218,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

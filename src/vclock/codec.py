@@ -32,6 +32,10 @@ __all__ = [
 
 EMPTY_FORM = "-"
 
+# most digits a count, timestamp or scenario number may have: CPython's
+# default int() limit, held here so no interpreter setting can move it
+MAX_DIGITS = 4300
+
 
 class DecodeError(ValueError):
     """Base class for wire-text parse failures."""
@@ -68,17 +72,20 @@ def decode(text: str) -> VClock:
     """Parse wire text into a clock, re-sorting entries if needed.
 
     A well-formed text is validated once: this pass checks only what VClock
-    cannot (three ':' fields, ASCII decimal digits, int()'s digit limit), and
-    VClock(entries) checks actors, counts and duplicates. Only a text that
-    fails is read again, field by field, to name its first defect with a
-    distinct DecodeError subclass: wrong field count, bad actor token,
-    non-numeric or over-long count/timestamp, zero count, duplicate actor.
-    Text that is not a str raises TypeError.
+    cannot (three ':' fields, ASCII decimal digits), and VClock(entries)
+    checks actors, counts and duplicates. Only a text that fails, or one
+    longer than MAX_DIGITS characters, is read field by field to name its
+    first defect with a distinct DecodeError subclass: wrong field count, bad
+    actor token, non-numeric or over-long (more than MAX_DIGITS digits)
+    count/timestamp, zero count, duplicate actor. Text that is not a str
+    raises TypeError.
     """
     if not isinstance(text, str):
         raise TypeError(f"wire text must be str, got {type(text).__name__}")
     if text == EMPTY_FORM:
         return fresh()
+    if len(text) > MAX_DIGITS:  # only a text this long can hold an over-long field
+        return _decode_fields(text)
     # every defect _decode_fields reports makes this pass raise ValueError
     # (InvalidActorError and VClock's own errors included) or break
     try:
@@ -125,9 +132,11 @@ def _decode_fields(text: str) -> VClock:
                 f"count and timestamp must be decimal digits in entry {field!r}"
             )
         try:
+            if len(count_text) > MAX_DIGITS or len(timestamp_text) > MAX_DIGITS:
+                raise ValueError
             count = int(count_text)
             timestamp = int(timestamp_text)
-        except ValueError:  # more digits than int() converts by default
+        except ValueError:  # over MAX_DIGITS, or over a lower int() limit set on this host
             raise NumericFieldError(
                 f"count or timestamp has too many digits in entry {field[:40]!r}..."
             ) from None

@@ -124,8 +124,7 @@ def build_history(
     for i, (actor, received_from) in enumerate(steps, start):
         # each distinct actor is validated once; a non-str may be unhashable
         if not (isinstance(actor, str) and actor in valid_actors):
-            if not core.is_valid_actor(actor):
-                raise core.InvalidActorError(f"invalid actor token: {actor!r}")
+            core._require_actor(actor)
             valid_actors.add(actor)
         if received_from is not None:
             if not 0 <= received_from < i:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from . import core
-from .codec import DecodeError, decode
+from .codec import MAX_DIGITS, DecodeError, decode
 from .core import FixedClock, Ordering, PruneBounds, VClock, canonical_text
 
 __all__ = [
@@ -83,8 +83,10 @@ def _parse_nonneg(token: str, what: str, line_no: int) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ScenarioError(f"line {line_no}: {what} must be a non-negative integer, got {token!r}")
     try:
+        if len(token) > MAX_DIGITS:
+            raise ValueError
         return int(token)
-    except ValueError:  # more digits than int() converts by default
+    except ValueError:  # over MAX_DIGITS, or over a lower int() limit set on this host
         raise ScenarioError(f"line {line_no}: {what} has too many digits ({len(token)})") from None
 
 

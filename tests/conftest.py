@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import pytest
 
 from vclock import _backend
@@ -21,3 +23,13 @@ def faulty_compare(monkeypatch):
         return _MISREPORTED.get(code, code) if len(a) == len(b) == 2 else code
 
     monkeypatch.setattr(kernels, "compare_entries", misreporting)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """sys.set_int_max_str_digits for one test; the setting is restored after it."""
+    previous = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(previous)

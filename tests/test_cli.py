@@ -1,9 +1,15 @@
 """Command-line interface tests: output tokens and the exit-status contract."""
 
+import contextlib
+import io
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclock.cli import main
 from vclock.oracle import check_equivalence, enumerate_histories
@@ -234,3 +240,97 @@ def test_module_entry_point(argv):
     )
     assert proc.returncode == 0
     assert proc.stdout == "a:2:10;b:1:5\n"
+
+
+def _readme_clock_examples():
+    """(argv, expected stdout line) for each `vclock clock` line of README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("vclock clock "):
+            examples.append((shlex.split(command)[1:], comment.split()[0]))
+    return examples
+
+
+README_CLOCK_EXAMPLES = _readme_clock_examples()
+
+
+def test_readme_clock_examples_print_what_their_comments_say(capsys):
+    assert [argv[1] for argv, _ in README_CLOCK_EXAMPLES] == [
+        "compare", "merge", "descends", "increment", "prune",
+    ]
+    for argv, expected in README_CLOCK_EXAMPLES:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == expected + "\n", argv
+
+
+# --- the exit-status contract, by property ----------------------------------------
+
+
+_GOOD_CLOCKS = ["-", "a:1:1", "a:2:10;b:1:5", "b:1:5;a:2:10"]
+_BAD_CLOCKS = [
+    "a:x:1", "a:0:1", "a b:1:1", "a:1", "", "a:1:1;a:2:2", "a:\u00b2:1", "\u00e9:1:1",
+    "a:" + "1" * 4301 + ":1", "a:1:2;;",
+]
+# a drawn token never starts with "-" unless it is "-": argparse would read it as an option
+_token = st.text(alphabet="ab:;-019 \u00e9", max_size=10).filter(
+    lambda t: t == "-" or not t.startswith("-")
+)
+_clock_text = st.sampled_from(_GOOD_CLOCKS) | st.sampled_from(_BAD_CLOCKS) | _token
+_actor = st.sampled_from(["a", "node1", "", "a b", "x:y", "\u00e9", "-"]) | _token
+_number = st.integers(-2, 40).map(str)
+
+
+def _options(*names):
+    return st.tuples(*(st.tuples(st.just(name), _number) for name in names)).map(
+        lambda pairs: [token for pair in pairs for token in pair]
+    )
+
+
+def _ints(*ranges):
+    return st.tuples(*(st.integers(low, high).map(str) for low, high in ranges)).map(list)
+
+
+# argv of each kind, all of which argparse accepts; "run" draws from the run_paths fixture
+_ARGV = {
+    "pair": st.tuples(st.sampled_from(["compare", "merge", "descends"]), _clock_text, _clock_text)
+    .map(lambda t: ["clock", *t]),
+    "increment": st.tuples(_actor, _clock_text, _options("--at"))
+    .map(lambda t: ["clock", "increment", t[0], t[1], *t[2]]),
+    "prune": st.tuples(_clock_text, _options("--now", "--small", "--large", "--young", "--old"))
+    .map(lambda t: ["clock", "prune", t[0], *t[1]]),
+    "exhaustive": _ints((-1, 4), (-1, 3)).map(lambda n: ["check", "--exhaustive", *n]),
+    "random": _ints((-1, 3), (-1, 30), (-1, 4)).map(lambda n: ["check", "--random", *n]),
+    "peano-bench": _ints((-5, 1000)).map(lambda n: ["peano-bench", *n]),
+}
+
+
+@pytest.fixture(scope="module")
+def run_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scenarios")
+    (root / "good.txt").write_text(GOOD_SCENARIO)
+    (root / "failing.txt").write_text(FAILING_SCENARIO)
+    (root / "latin1.txt").write_bytes(b"replicas r1\nupdate r1 k v\xff\n")
+    names = ("good.txt", "failing.txt", "latin1.txt", "missing.txt")
+    return [str(root / name) for name in names] + [str(root)]
+
+
+@pytest.mark.parametrize("kind", [*_ARGV, "run"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_main_exit_status_contract(run_paths, kind, data):
+    if kind == "run":
+        argv = ["run", data.draw(st.sampled_from(run_paths))]
+    else:
+        argv = data.draw(_ARGV[kind])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    # every drawn argv parses, so a 2 comes from a handler that rejected an input
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

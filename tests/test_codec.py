@@ -95,6 +95,25 @@ def test_decode_rejects_overlong_timestamp():
         decode(f"a:1:{OVERLONG}")
 
 
+def test_decode_digit_limit_is_the_codecs_own(int_digit_limit):
+    # with int()'s own limit lifted, MAX_DIGITS still bounds every field
+    int_digit_limit(0)
+    assert len(OVERLONG) == codec.MAX_DIGITS + 1
+    for text in (f"a:{OVERLONG}:5", f"a:1:{OVERLONG}", f"b:1:1;a:{OVERLONG}:5"):
+        with pytest.raises(NumericFieldError, match="too many digits"):
+            decode(text)
+    at_limit = "9" * codec.MAX_DIGITS
+    text = f"a:{at_limit}:{at_limit}"
+    assert encode(decode(text)) == text
+
+
+def test_decode_names_a_field_over_a_lowered_int_limit(int_digit_limit):
+    # a host may set int()'s limit below MAX_DIGITS; 640 is the lowest it takes
+    int_digit_limit(640)
+    with pytest.raises(NumericFieldError, match="too many digits"):
+        decode("a:1:" + "1" * 641)
+
+
 def test_decode_rejects_zero_count():
     with pytest.raises(CountRangeError):
         decode("a:0:5")

@@ -149,6 +149,25 @@ OVERLONG = "1" * 4301
 WRITTEN = "replicas r1 r2\nupdate r1 k v\n"
 
 
+def test_numeric_digit_limit_is_the_parsers_own(int_digit_limit):
+    # with int()'s own limit lifted, codec.MAX_DIGITS still bounds each number
+    int_digit_limit(0)
+    with pytest.raises(ScenarioError, match=r"line 1: bound has too many digits \(4301\)"):
+        parse_scenario(f"bounds 1 {OVERLONG} 1 1\n")
+    with pytest.raises(ScenarioError, match=r"line 3: sibling index has too many digits"):
+        parse_scenario(WRITTEN + f"expect compare r1 k 0 {OVERLONG} Equal\n")
+    at_limit = "9" * 4300
+    bounds = parse_scenario(f"bounds 0 {at_limit} 0 {at_limit}\n").bounds
+    assert bounds == PruneBounds(0, int(at_limit), 0, int(at_limit))
+
+
+def test_numeric_token_over_a_lowered_int_limit_is_named(int_digit_limit):
+    # a host may set int()'s limit below MAX_DIGITS; 640 is the lowest it takes
+    int_digit_limit(640)
+    with pytest.raises(ScenarioError, match=r"line 1: bound has too many digits \(641\)"):
+        parse_scenario(f"bounds 0 {'1' * 641} 0 0\n")
+
+
 @pytest.mark.parametrize(
     "script, message",
     [
