@@ -27,6 +27,20 @@ class _UsageError(Exception):
     """A rejected input: main prints it as one `error: ` line and returns 2."""
 
 
+def _int_arg(text: str) -> int:
+    """argparse type of every integer option: int(), refusing over codec.MAX_DIGITS digits.
+
+    Digits are counted as int() counts them, so under the interpreter's
+    default limit every text is accepted or refused with the same message.
+    """
+    try:
+        if sum(map(str.isdecimal, text)) > codec.MAX_DIGITS:
+            raise ValueError
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _decode_arg(name: str, text: str) -> VClock:
     try:
         return codec.decode(text)
@@ -169,15 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = clock_sub.add_parser("increment", help="advance one actor")
     p.add_argument("actor")
     p.add_argument("clock")
-    p.add_argument("--at", type=int, required=True, help="timestamp for the new entry")
+    p.add_argument(
+        "--at", type=_int_arg, required=True, help="timestamp for the new entry"
+    )
     p.set_defaults(func=_cmd_increment)
     p = clock_sub.add_parser("prune", help="apply the size/age pruning rule")
     p.add_argument("clock")
-    p.add_argument("--now", type=int, required=True)
-    p.add_argument("--small", type=int, required=True)
-    p.add_argument("--large", type=int, required=True)
-    p.add_argument("--young", type=int, required=True)
-    p.add_argument("--old", type=int, required=True)
+    p.add_argument("--now", type=_int_arg, required=True)
+    p.add_argument("--small", type=_int_arg, required=True)
+    p.add_argument("--large", type=_int_arg, required=True)
+    p.add_argument("--young", type=_int_arg, required=True)
+    p.add_argument("--old", type=_int_arg, required=True)
     p.set_defaults(func=_cmd_prune)
 
     run = sub.add_parser("run", help="execute a scenario script")
@@ -191,21 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--exhaustive",
         nargs=2,
-        type=int,
+        type=_int_arg,
         metavar=("EVENTS", "ACTORS"),
         help="enumerate every history within the bounds",
     )
     mode.add_argument(
         "--random",
         nargs=3,
-        type=int,
+        type=_int_arg,
         metavar=("SEEDS", "EVENTS", "ACTORS"),
         help="check seeded random histories for seeds 0..SEEDS-1",
     )
     check.set_defaults(func=_cmd_check)
 
     bench = sub.add_parser("peano-bench", help="unary numeral encode/decode cost table")
-    bench.add_argument("max_n", type=int, help="largest grid point to materialize")
+    bench.add_argument("max_n", type=_int_arg, help="largest grid point to materialize")
     bench.set_defaults(func=_cmd_peano_bench)
 
     return parser
@@ -220,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
+    # an EncodeError is an input clock whose result the wire cannot carry
+    except (_UsageError, codec.EncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

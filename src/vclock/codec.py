@@ -15,6 +15,7 @@ __all__ = [
     "CountRangeError",
     "DecodeError",
     "DuplicateActorError",
+    "EncodeError",
     "MalformedEntryError",
     "NumericFieldError",
     "PeanoCapacityError",
@@ -35,6 +36,8 @@ EMPTY_FORM = "-"
 # most digits a count, timestamp or scenario number may have: CPython's
 # default int() limit, held here so no interpreter setting can move it
 MAX_DIGITS = 4300
+# the least number with more than MAX_DIGITS digits
+_TOO_MANY_DIGITS = 10**MAX_DIGITS
 
 
 class DecodeError(ValueError):
@@ -61,11 +64,45 @@ class DuplicateActorError(DecodeError):
     """The same actor appears in more than one entry."""
 
 
+class EncodeError(ValueError):
+    """A clock holds a count or timestamp that its wire text cannot carry."""
+
+
 def encode(v: VClock) -> str:
-    """Render a clock as canonical wire text. A non-VClock raises TypeError."""
+    """Render a clock as canonical wire text. A non-VClock raises TypeError.
+
+    A count or timestamp of more than MAX_DIGITS digits, which decode would
+    refuse, or one this interpreter will not convert to text, raises
+    EncodeError naming its actor and field, whatever the interpreter's limit.
+    """
     if not isinstance(v, VClock):
         raise TypeError(f"encode needs a VClock, got {type(v).__name__}")
-    return canonical_text(v)
+    try:
+        text = canonical_text(v)
+    except ValueError:  # a number past the interpreter's int-to-text limit
+        _refuse_long_number(v)
+        raise
+    if len(text) > MAX_DIGITS:  # only a text this long can hold an over-long number
+        _refuse_long_number(v)
+    return text
+
+
+def _refuse_long_number(v: VClock) -> None:
+    # encode's error path: raise EncodeError for the first number, in entry
+    # order, that has too many digits for the wire or for str() on this host
+    for actor, count, timestamp in v.entries:
+        for field, number in (("count", count), ("timestamp", timestamp)):
+            if number >= _TOO_MANY_DIGITS:
+                problem = f"more than {MAX_DIGITS} digits"
+            else:
+                try:
+                    str(number)
+                    continue
+                except ValueError:  # over a lower int() limit set on this host
+                    problem = "more digits than this interpreter converts to text"
+            raise EncodeError(
+                f"cannot encode {field} of actor {actor!r}: it has {problem}"
+            ) from None
 
 
 def decode(text: str) -> VClock:

@@ -46,6 +46,11 @@ _DOMINATED = kernels.DOMINATED
 # Dominated, "0" (concurrent) is Concurrent
 _GRAPH_CODES = bytes.maketrans(b"01", bytes((kernels.CONCURRENT, _DOMINATED)))
 _MIRROR = (Ordering.EQUAL, Ordering.DOMINATED, Ordering.DESCENDS, Ordering.CONCURRENT)
+_NO_PREDECESSORS: frozenset[int] = frozenset()
+# build_history makes its records as core._wrap makes a VClock: without the
+# generated __init__, one attribute store per field
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 class EnumerationBudgetError(ValueError):
@@ -149,10 +154,26 @@ def build_history(
         snap = core.increment(actor, snap, FixedClock(i))
         if prune_at is not None and i in prune_at:
             snap = core.prune(snap, i, prune_at[i])
-        preds = frozenset(p for p in (prev, received_from) if p is not None)
-        events.append(EventRecord(i, actor, received_from, preds, snap))
+        if prev is None:
+            preds = _NO_PREDECESSORS if received_from is None else frozenset((received_from,))
+        elif received_from is None:
+            preds = frozenset((prev,))
+        else:
+            preds = frozenset((prev, received_from))
+        # the fields in the generated __init__'s order, so the instance dict
+        # shares its keys with every other record's
+        record = _new(EventRecord)
+        _setattr(record, "id", i)
+        _setattr(record, "actor", actor)
+        _setattr(record, "received_from", received_from)
+        _setattr(record, "predecessors", preds)
+        _setattr(record, "clock", snap)
+        events.append(record)
         last_by_actor[actor] = i
-    return History(events=tuple(events), actors=tuple(last_by_actor))
+    history = _new(History)
+    _setattr(history, "events", tuple(events))
+    _setattr(history, "actors", tuple(last_by_actor))
+    return history
 
 
 def replay_clocks(
@@ -252,21 +273,31 @@ def enumerate_histories(max_events: int, max_actors: int) -> Iterator[History]:
         raise ValueError("bounds must be non-negative")
     names = [actor_name(i) for i in range(max_actors)]
 
-    def grow(parent: History, used: int) -> Iterator[History]:
-        if len(parent) == max_events:
-            return
-        for actor_idx in range(min(used + 1, max_actors)):
-            actor = names[actor_idx]
-            new_used = max(used, actor_idx + 1)
-            sources: list[int | None] = [None]
-            sources.extend(ev.id for ev in parent.events if ev.actor != actor)
-            for received_from in sources:
-                # one replayed event per history: the child shares the parent's records
-                child = build_history(((actor, received_from),), base=parent)
-                yield child
-                yield from grow(child, new_used)
+    def walk() -> Iterator[History]:
+        # depth-first: each popped entry is (parent, one child's steps); the
+        # child's own children are pushed above its later siblings, in reverse
+        # so that they pop in order
+        pending: list[tuple[History, tuple[tuple[str, int | None]]]] = []
+        history = History(events=(), actors=())
+        while True:
+            if len(history.events) < max_events:
+                # actors stay canonical: a child adds at most the next new name
+                children = []
+                for actor in names[: len(history.actors) + 1]:
+                    children.append((history, ((actor, None),)))
+                    children += [
+                        (history, ((actor, ev.id),)) for ev in history.events if ev.actor != actor
+                    ]
+                children.reverse()
+                pending += children
+            if not pending:
+                return
+            parent, steps = pending.pop()
+            # one replayed event per history: the child shares the parent's records
+            history = build_history(steps, base=parent)
+            yield history
 
-    return grow(History(events=(), actors=()), 0)
+    return walk()
 
 
 def check_enumerated(

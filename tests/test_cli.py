@@ -1,6 +1,7 @@
 """Command-line interface tests: output tokens and the exit-status contract."""
 
 import contextlib
+import hashlib
 import io
 import shlex
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vclock.cli import main
+from vclock.codec import MAX_DIGITS
 from vclock.oracle import check_equivalence, enumerate_histories
 
 GOOD_SCENARIO = """\
@@ -89,6 +91,62 @@ def test_clock_prune_rejects_bad_bounds(capsys):
     )
     assert code == 2
     assert "small" in capsys.readouterr().err
+
+
+_LIMITS = pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "lifted-limit"])
+
+
+@_LIMITS
+def test_clock_increment_past_max_digits_exits_two(int_digit_limit, capsys, limit):
+    # the count grows from MAX_DIGITS nines to MAX_DIGITS + 1 digits
+    if limit is not None:
+        int_digit_limit(limit)
+    assert main(["clock", "increment", "a", "a:" + "9" * MAX_DIGITS + ":0", "--at", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot encode count of actor 'a': it has more than {MAX_DIGITS} digits\n"
+    )
+
+
+_PRUNE_OPTIONS = ("--now", "--small", "--large", "--young", "--old")
+
+
+def _prune_argv(option, n):
+    bounds = (token for o in _PRUNE_OPTIONS for token in (o, n if o == option else "0"))
+    return ["clock", "prune", "a:1:1", *bounds]
+
+
+# argv that puts a number into each integer option
+_INT_OPTIONS = {
+    "--at": lambda n: ["clock", "increment", "a", "-", "--at", n],
+    **{option: lambda n, option=option: _prune_argv(option, n) for option in _PRUNE_OPTIONS},
+    "--exhaustive": lambda n: ["check", "--exhaustive", n, "3"],
+    "--random": lambda n: ["check", "--random", "1", "2", n],
+    "max_n": lambda n: ["peano-bench", n],
+}
+
+
+@_LIMITS
+@pytest.mark.parametrize("option", list(_INT_OPTIONS))
+def test_int_options_refuse_more_than_max_digits(int_digit_limit, capsys, limit, option):
+    if limit is not None:
+        int_digit_limit(limit)
+    # leading zeros and underscores: int() counts the digits, not the value
+    for text in ("7" * (MAX_DIGITS + 1), "0" * MAX_DIGITS + "1", "1_" * MAX_DIGITS + "1"):
+        assert main(_INT_OPTIONS[option](text)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+
+
+@_LIMITS
+def test_int_option_takes_max_digits(int_digit_limit, capsys, limit):
+    if limit is not None:
+        int_digit_limit(limit)
+    at = "7" * MAX_DIGITS
+    assert main(["clock", "increment", "a", "-", "--at", at]) == 0
+    assert capsys.readouterr().out == f"a:1:{at}\n"
 
 
 def test_parse_error_names_the_argument(capsys):
@@ -187,6 +245,20 @@ def test_check_exhaustive_reports_every_violation(faulty_compare, capsys):
     captured = capsys.readouterr()
     assert captured.out == "".join(line + "\n" for line in sorted(rendered))
     assert captured.err.splitlines() == [*notes, summary]
+
+
+def test_check_exhaustive_faulty_output_is_pinned(faulty_compare, capsys):
+    # a golden: the sorted violation lines and, on stderr, every violating
+    # history's note in enumeration order, then the summary
+    assert main(["check", "--exhaustive", "5", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith("checked 1913 histories: 6322 violation line(s)\n")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "a10164dc4168d6545544751a2008436fbd089f7b54c6200cc5e30842c0d94a87"
+    )
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == (
+        "a10b56ce0604c5b9dfaacb8665a0922987bfa9482f4a0e91dca14fbd3c9936ea"
+    )
 
 
 def test_check_random_small(capsys):

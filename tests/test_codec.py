@@ -15,6 +15,7 @@ from vclock.codec import (
     CountRangeError,
     DecodeError,
     DuplicateActorError,
+    EncodeError,
     MalformedEntryError,
     NumericFieldError,
     PeanoCapacityError,
@@ -112,6 +113,41 @@ def test_decode_names_a_field_over_a_lowered_int_limit(int_digit_limit):
     int_digit_limit(640)
     with pytest.raises(NumericFieldError, match="too many digits"):
         decode("a:1:" + "1" * 641)
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "lifted-limit"])
+def test_encode_names_a_number_over_max_digits(int_digit_limit, limit):
+    # VClock takes ints of any size; the wire carries at most MAX_DIGITS digits
+    if limit is not None:
+        int_digit_limit(limit)
+    huge = 10**codec.MAX_DIGITS  # the least number with MAX_DIGITS + 1 digits
+    cases = [
+        (VClock([("a", huge, 0)]), "count of actor 'a'"),
+        (VClock([("a", 10**5000, 0)]), "count of actor 'a'"),
+        (VClock([("a", 1, 1), ("b", 2, huge)]), "timestamp of actor 'b'"),
+        (VClock([("a", 1, huge), ("b", huge, 1)]), "timestamp of actor 'a'"),
+    ]
+    for v, named in cases:
+        with pytest.raises(EncodeError) as info:
+            encode(v)
+        assert str(info.value) == (
+            f"cannot encode {named}: it has more than {codec.MAX_DIGITS} digits"
+        )
+        assert isinstance(info.value, ValueError)
+    # at the limit, and over it in total but not in any one number, encodes
+    at_limit = huge - 1
+    v = VClock([("a", at_limit, at_limit), ("b", 1, 2)])
+    assert decode(encode(v)) == v
+
+
+def test_encode_names_a_number_over_a_lowered_int_limit(int_digit_limit):
+    int_digit_limit(640)
+    with pytest.raises(EncodeError) as info:
+        encode(VClock([("a", 1, 10**700)]))
+    assert str(info.value) == (
+        "cannot encode timestamp of actor 'a': it has more digits than this interpreter"
+        " converts to text"
+    )
 
 
 def test_decode_rejects_zero_count():

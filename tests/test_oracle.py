@@ -1,7 +1,9 @@
 """Oracle tests: reachability, replay, enumeration, equivalence."""
 
+import dataclasses
 import hashlib
 import random
+import sys
 import time
 from unittest.mock import patch
 
@@ -16,6 +18,8 @@ from vclock.oracle import (
     MAX_ENUM_ACTORS,
     MAX_ENUM_EVENTS,
     EnumerationBudgetError,
+    EventRecord,
+    History,
     Violation,
     actor_name,
     build_history,
@@ -400,6 +404,74 @@ def test_enumeration_is_deterministic():
     first = [tuple((e.actor, e.received_from) for e in h.events) for h in enumerate_histories(3, 3)]
     second = [tuple((e.actor, e.received_from) for e in h.events) for h in enumerate_histories(3, 3)]
     assert first == second
+
+
+@pytest.mark.parametrize(
+    ("bounds", "count"), [((0, 0), 0), ((0, 3), 0), ((3, 0), 0), ((1, 1), 1), ((4, 1), 4)]
+)
+def test_enumeration_at_the_edge_bounds(bounds, count):
+    assert sum(1 for _ in enumerate_histories(*bounds)) == count
+    assert sum(1 for _ in check_enumerated(*bounds)) == count
+
+
+def _sha256_of_lines(lines):
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_enumeration_order_and_records_are_pinned():
+    # every (6, 3) history in order: its actors and each record's id, actor,
+    # received_from, predecessors and clock
+    lines = (repr((h.actors, h.events)) for h in enumerate_histories(6, 3))
+    assert _sha256_of_lines(lines) == (
+        "a5457924f6f3bd4c182171cb44ae7f488711ecc0216ee0d961d6953ee29eb5c9"
+    )
+
+
+@pytest.mark.parametrize(
+    ("fault", "digest"),
+    [
+        (False, "e8710c10dafc8c03621315f82e206287b6c5c439d856ef93c1938e80607021e5"),
+        (True, "46abf3aa5f0386fb13614354356420b0c6e1cb5437c02db7cb8dc016ba1b19ce"),
+    ],
+    ids=["clean", "faulty-kernel"],
+)
+def test_check_enumerated_reports_are_pinned(fault, digest, request):
+    if fault:
+        request.getfixturevalue("faulty_compare")
+    assert _sha256_of_lines(repr(report) for _, report in check_enumerated(6, 3)) == digest
+
+
+def test_built_records_equal_constructor_built_ones():
+    # the four kinds of predecessors: none, sender only, own previous only, both
+    h = build_history((("a", None), ("b", 0), ("a", None), ("a", 1), ("c", None)))
+    assert [ev.predecessors for ev in h.events] == [set(), {0}, {0}, {1, 2}, set()]
+    pairs = [
+        (ev, EventRecord(ev.id, ev.actor, ev.received_from, ev.predecessors, ev.clock))
+        for ev in h.events
+    ]
+    pairs.append((h, History(events=h.events, actors=h.actors)))
+    for built, constructed in pairs:
+        assert built == constructed and hash(built) == hash(constructed)
+        assert repr(built) == repr(constructed)
+        assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(constructed))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.actors = ()
+
+
+def test_check_enumerated_calls_the_module_globals_once_per_history(monkeypatch):
+    # a tracer wraps these two module globals; each history must reach both
+    calls = dict.fromkeys(("build_history", "check_equivalence"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(oracle, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+    assert sum(1 for _ in check_enumerated(5, 3)) == 1913
+    assert calls == {"build_history": 1913, "check_equivalence": 1913}
 
 
 def test_enumeration_budget_is_enforced_eagerly():
