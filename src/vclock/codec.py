@@ -8,7 +8,15 @@ gigabyte-scale object graph.
 
 from __future__ import annotations
 
-from .core import VClock, canonical_text, fresh, is_valid_actor
+from .core import (
+    MAX_DIGITS,
+    EncodeError,
+    VClock,
+    _refuse_long_number,
+    canonical_text,
+    fresh,
+    is_valid_actor,
+)
 
 __all__ = [
     "ActorTokenError",
@@ -32,12 +40,6 @@ __all__ = [
 ]
 
 EMPTY_FORM = "-"
-
-# most digits a count, timestamp or scenario number may have: CPython's
-# default int() limit, held here so no interpreter setting can move it
-MAX_DIGITS = 4300
-# the least number with more than MAX_DIGITS digits
-_TOO_MANY_DIGITS = 10**MAX_DIGITS
 
 
 class DecodeError(ValueError):
@@ -64,10 +66,6 @@ class DuplicateActorError(DecodeError):
     """The same actor appears in more than one entry."""
 
 
-class EncodeError(ValueError):
-    """A clock holds a count or timestamp that its wire text cannot carry."""
-
-
 def encode(v: VClock) -> str:
     """Render a clock as canonical wire text. A non-VClock raises TypeError.
 
@@ -77,32 +75,10 @@ def encode(v: VClock) -> str:
     """
     if not isinstance(v, VClock):
         raise TypeError(f"encode needs a VClock, got {type(v).__name__}")
-    try:
-        text = canonical_text(v)
-    except ValueError:  # a number past the interpreter's int-to-text limit
-        _refuse_long_number(v)
-        raise
+    text = canonical_text(v)  # raises EncodeError for a number str() will not convert
     if len(text) > MAX_DIGITS:  # only a text this long can hold an over-long number
         _refuse_long_number(v)
     return text
-
-
-def _refuse_long_number(v: VClock) -> None:
-    # encode's error path: raise EncodeError for the first number, in entry
-    # order, that has too many digits for the wire or for str() on this host
-    for actor, count, timestamp in v.entries:
-        for field, number in (("count", count), ("timestamp", timestamp)):
-            if number >= _TOO_MANY_DIGITS:
-                problem = f"more than {MAX_DIGITS} digits"
-            else:
-                try:
-                    str(number)
-                    continue
-                except ValueError:  # over a lower int() limit set on this host
-                    problem = "more digits than this interpreter converts to text"
-            raise EncodeError(
-                f"cannot encode {field} of actor {actor!r}: it has {problem}"
-            ) from None
 
 
 def decode(text: str) -> VClock:

@@ -22,6 +22,7 @@ from ._kernels_py import ClockEntry, _new_tuple
 __all__ = [
     "ClockEntry",
     "ClockSource",
+    "EncodeError",
     "FixedClock",
     "InvalidActorError",
     "Ordering",
@@ -46,6 +47,17 @@ __all__ = [
 
 class InvalidActorError(ValueError):
     """Actor token is empty or contains whitespace, ':', ';' or unprintables."""
+
+
+class EncodeError(ValueError):
+    """A clock holds a count or timestamp that its wire text cannot carry."""
+
+
+# most digits a count, timestamp or scenario number may have: CPython's
+# default int() limit, held here so no interpreter setting can move it
+MAX_DIGITS = 4300
+# the least number with more than MAX_DIGITS digits
+_TOO_MANY_DIGITS = 10**MAX_DIGITS
 
 
 class Ordering(Enum):
@@ -169,7 +181,11 @@ class VClock:
         return canonical_text(self)
 
     def __repr__(self) -> str:
-        return f"VClock({canonical_text(self)!r})"
+        try:
+            text = canonical_text(self)
+        except EncodeError as exc:  # name the number instead of printing it
+            return f"VClock(<{exc}>)"
+        return f"VClock({text!r})"
 
 
 def _wrap(entries: tuple[ClockEntry, ...]) -> VClock:
@@ -373,10 +389,34 @@ def canonical_text(v: VClock) -> str:
     The empty clock renders as '-'. Actors ascend, so equal clock values
     always produce byte-identical text. Each clock is rendered once: the
     text is stored on the clock, which is safe because its entries never
-    change.
+    change. A number this interpreter will not convert to text raises
+    EncodeError naming its actor and field.
     """
     text = getattr(v, "_text", None)
     if text is None:
-        text = ";".join(f"{e.actor}:{e.count}:{e.timestamp}" for e in v.entries) or "-"
+        try:
+            text = ";".join(f"{e.actor}:{e.count}:{e.timestamp}" for e in v.entries) or "-"
+        except ValueError:  # a number past the interpreter's int-to-text limit
+            _refuse_long_number(v)
+            raise
         object.__setattr__(v, "_text", text)
     return text
+
+
+def _refuse_long_number(v: VClock) -> None:
+    # the error path of canonical_text and codec.encode: raise EncodeError for
+    # the first number, in entry order, that has too many digits for the wire
+    # or for str() on this host
+    for actor, count, timestamp in v.entries:
+        for field, number in (("count", count), ("timestamp", timestamp)):
+            if number >= _TOO_MANY_DIGITS:
+                problem = f"more than {MAX_DIGITS} digits"
+            else:
+                try:
+                    str(number)
+                    continue
+                except ValueError:  # over a lower int() limit set on this host
+                    problem = "more digits than this interpreter converts to text"
+            raise EncodeError(
+                f"cannot encode {field} of actor {actor!r}: it has {problem}"
+            ) from None

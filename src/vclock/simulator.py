@@ -90,24 +90,34 @@ def _parse_nonneg(token: str, what: str, line_no: int) -> int:
         raise ScenarioError(f"line {line_no}: {what} has too many digits ({len(token)})") from None
 
 
-def _argument(kind: str, token: str, line_no: int, replicas: tuple, keys: set, left: list):
+def _argument(kind: str, token: str, line_no: int, replicas: dict, keys: dict, left: list):
     """Check one argument and return its value; `left` holds the arguments before it.
 
-    A "new key" joins `keys` at once: a later fault on its line fails the parse anyway.
+    A replica or key argument is returned as the one str held for that name in
+    `replicas` or `keys` (name -> name), so every command shares it. A "new
+    key" joins `keys` at once, after the one validation it needs: a later
+    fault on its line fails the parse anyway.
     """
     if kind in ("replica", "other replica"):
-        if token not in replicas:
+        name = replicas.get(token)
+        if name is None:
             raise ScenarioError(f"line {line_no}: unknown replica {token!r}")
-        if kind == "other replica" and token == left[0]:
+        if kind == "other replica" and name == left[0]:
             raise ScenarioError(f"line {line_no}: sync source and destination are the same")
-    elif kind == "known key":
-        if token not in keys:
+        return name
+    if kind == "known key":
+        name = keys.get(token)
+        if name is None:
             raise ScenarioError(f"line {line_no}: key {token!r} is never written before this line")
-    elif kind == "new key":
-        if not core.is_valid_actor(token):
-            raise ScenarioError(f"line {line_no}: bad key token {token!r}")
-        keys.add(token)
-    elif kind == "value":
+        return name
+    if kind == "new key":
+        name = keys.get(token)
+        if name is None:
+            if not core.is_valid_actor(token):
+                raise ScenarioError(f"line {line_no}: bad key token {token!r}")
+            name = keys[token] = token
+        return name
+    if kind == "value":
         # tokens come from str.split(), so they hold no whitespace
         if not token.isprintable():
             raise ScenarioError(f"line {line_no}: bad value token {token!r}")
@@ -134,9 +144,9 @@ def parse_scenario(text: str) -> Scenario:
     ScenarioError with the line number. A command line is checked against its
     _OPS entry: arity, then each argument's kind left to right, then bounds.
     """
-    replicas: tuple[str, ...] = ()
+    replicas: dict[str, str] = {}  # each declared name -> itself, shared by every command
     bounds: PruneBounds | None = None
-    keys: set[str] = set()
+    keys: dict[str, str] = {}  # each key -> the str of its first update
     commands: list[Command] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -151,9 +161,9 @@ def parse_scenario(text: str) -> Scenario:
             for name in operands:
                 if not core.is_valid_actor(name):
                     raise ScenarioError(f"line {line_no}: bad replica name {name!r}")
-            if len(set(operands)) != len(operands):
+            replicas = {name: name for name in operands}
+            if len(replicas) != len(operands):
                 raise ScenarioError(f"line {line_no}: duplicate replica name")
-            replicas = tuple(operands)
             continue
         if op == "bounds":
             if bounds is not None:
@@ -184,7 +194,7 @@ def parse_scenario(text: str) -> Scenario:
         if spec.needs_bounds and bounds is None:
             raise ScenarioError(f"line {line_no}: {spec.op} used without a bounds declaration")
         commands.append(Command(line_no, spec.op, tuple(args)))
-    return Scenario(replicas=replicas, bounds=bounds, commands=tuple(commands))
+    return Scenario(replicas=tuple(replicas), bounds=bounds, commands=tuple(commands))
 
 
 def load_scenario(path: str) -> Scenario:

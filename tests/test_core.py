@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from vclock.core import (
     ClockEntry,
+    EncodeError,
     FixedClock,
     InvalidActorError,
     Ordering,
@@ -367,6 +368,30 @@ def test_canonical_text_stable_across_operations():
         v1 = random_clock(rng)
         v2 = random_clock(rng)
         assert canonical_text(merge(v1, v2)) == canonical_text(merge(v2, v1))
+
+
+@pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "lowered-limit"])
+def test_a_number_too_long_to_print_is_named(int_digit_limit, limit):
+    # VClock takes ints of any size: str and canonical_text raise the
+    # EncodeError that encode raises for one they cannot print, and repr
+    # names it instead
+    if limit is not None:
+        int_digit_limit(limit)
+    cases = [(VClock([("a", 10**5000, 0)]), "count of actor 'a': it has more than 4300 digits")]
+    printable = VClock([("a", 1, 1), ("b", 2, 10**700)])
+    if limit is None:
+        assert repr(printable) == f"VClock('a:1:1;b:2:{10**700}')"
+    else:
+        named = "timestamp of actor 'b': it has more digits than this interpreter converts to text"
+        cases.append((printable, named))
+    for v, named in cases:
+        message = f"cannot encode {named}"
+        for render in (str, canonical_text, str):  # nothing is stored by a failed render
+            with pytest.raises(EncodeError) as info:
+                render(v)
+            assert str(info.value) == message
+            assert info.value.__suppress_context__
+        assert repr(v) == f"VClock(<{message}>)"
 
 
 def test_vclock_rejects_duplicates_and_bad_fields():

@@ -1,5 +1,6 @@
 """Simulator tests: scenario parsing, replica semantics, determinism."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -262,6 +263,109 @@ def test_parse_scenario_only_raises_scenario_error(prefix, body):
         parse_scenario(prefix + body)
     except ScenarioError:
         pass
+
+
+def seeded_script(seed: int, n_commands: int = 1500) -> str:
+    """A seeded 8-replica x 32-key script over every command, names recurring on many lines."""
+    rng = random.Random(seed)
+    replicas = [f"r{i}" for i in range(8)]
+    keys = [f"key{i}" for i in range(32)]
+    written: list[str] = []
+    lines = ["replicas " + " ".join(replicas), "bounds 2 4 3 6"]
+    for n in range(n_commands):
+        replica = rng.choice(replicas)
+        if not written or rng.random() < 0.3:
+            key = rng.choice(keys)
+            if key not in written:
+                written.append(key)
+            lines.append(f"update {replica} {key} v{n}")
+            continue
+        key = rng.choice(written)
+        op = rng.choice(("sync", "sync", "read", "prune", "siblings", "clock", "compare"))
+        if op == "sync":
+            other = rng.choice([r for r in replicas if r != replica])
+            lines.append(f"sync {replica} {other} {key}")
+        elif op in ("read", "prune"):
+            lines.append(f"{op} {replica} {key}")
+        elif op == "siblings":
+            lines.append(f"expect siblings {replica} {key} {rng.randrange(3)}")
+        elif op == "clock":
+            lines.append(f"expect clock {replica} {key} {replica}:{rng.randrange(1, 4)}:{n}")
+        else:
+            ordering = rng.choice([o.value for o in Ordering])
+            lines.append(f"expect compare {replica} {key} 0 1 {ordering}")
+    return "\n".join(lines) + "\n"
+
+
+def _key_of(cmd: Command) -> str:
+    return cmd.args[2] if cmd.op == "sync" else cmd.args[1]
+
+
+def test_parsed_commands_share_one_str_per_name():
+    scenario = parse_scenario(seeded_script(0))
+    declared = {name: name for name in scenario.replicas}
+    first_use: dict[str, str] = {}
+    for cmd in scenario.commands:
+        replica_args = cmd.args[:2] if cmd.op == "sync" else cmd.args[:1]
+        assert all(arg is declared[arg] for arg in replica_args)
+        key = _key_of(cmd)
+        if key not in first_use:
+            assert cmd.op == "update"
+            first_use[key] = key
+        assert key is first_use[key]
+    names = {id(a) for cmd in scenario.commands for a in (*cmd.args[:1], _key_of(cmd))}
+    assert len(scenario.commands) == 1500 and len(names) == 8 + 32
+
+
+def test_parse_validates_each_declared_or_new_name_once(monkeypatch):
+    # expect clock lines decode clock text, which validates that text's actors too
+    script = "".join(
+        line for line in seeded_script(1).splitlines(keepends=True)
+        if not line.startswith("expect clock")
+    )
+    calls = []
+
+    def counting(token):
+        calls.append(token)
+        return is_valid_actor(token)
+
+    is_valid_actor = core.is_valid_actor
+    monkeypatch.setattr(core, "is_valid_actor", counting)
+    scenario = parse_scenario(script)
+    keys = {_key_of(cmd) for cmd in scenario.commands}
+    assert sorted(calls) == sorted([*scenario.replicas, *keys])
+    assert len(calls) == 8 + 32
+
+
+# sha256 of repr(scenario.commands), and of the reports, as parsed and run
+# before replica and key names were shared: equal strings, equal commands
+_COMMANDS_SHA256 = {
+    "causal_overwrite": "c95a211185e1b8c2609c35a2513b40053bed8b406295f402f7ddfb0bf2e399f3",
+    "concurrent_write": "ee668dea0bcd2e973f545c67c71dffa4f4c718d5c60d1911018a21b17195435c",
+    "prune_false_concurrency": "d24ab920b8b9b0122c00e73eddcef670dfedabca6ee5d1bb49672f36b8967371",
+    "seeded": "987fa5a6de86728e4113083efc21d284f7713985cc80df31168c9899718aa62e",
+}
+_SEEDED_REPORT_SHA256 = {
+    True: "a82108410f51e7c69bd88d1b84d2a95d92ddcabbce3bdd42b42013fc89174596",
+    False: "0b389881d26f46181a38261bedb197a182d9a2eaaae530e36e132e0e57dadb96",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS_SHA256))
+def test_parsed_commands_are_pinned(name):
+    if name == "seeded":
+        text = seeded_script(0)
+    else:
+        text = (SCENARIO_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    commands = parse_scenario(text).commands
+    assert all(type(cmd) is Command for cmd in commands)
+    assert hashlib.sha256(repr(commands).encode()).hexdigest() == _COMMANDS_SHA256[name]
+
+
+@pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "no-collapse"])
+def test_seeded_script_report_is_pinned(collapse):
+    text = run_scenario(parse_scenario(seeded_script(0)), collapse=collapse).text
+    assert hashlib.sha256(text.encode()).hexdigest() == _SEEDED_REPORT_SHA256[collapse]
 
 
 # --- update semantics -------------------------------------------------------------
