@@ -6,55 +6,10 @@ that cross-checks clock comparisons against real causality, and a
 deterministic replica simulator with a scenario script format.
 """
 
+from . import core
 from ._backend import backend_name
-from .core import (
-    ClockEntry,
-    ClockSource,
-    FixedClock,
-    InvalidActorError,
-    Ordering,
-    PruneBounds,
-    StepClock,
-    SystemClock,
-    VClock,
-    all_nodes,
-    canonical_text,
-    compare,
-    descends,
-    equal,
-    fresh,
-    get_counter,
-    get_timestamp,
-    increment,
-    is_valid_actor,
-    merge,
-    prune,
-)
+from .core import *  # noqa: F403 -- the names in core.__all__
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClockEntry",
-    "ClockSource",
-    "FixedClock",
-    "InvalidActorError",
-    "Ordering",
-    "PruneBounds",
-    "StepClock",
-    "SystemClock",
-    "VClock",
-    "all_nodes",
-    "backend_name",
-    "canonical_text",
-    "compare",
-    "descends",
-    "equal",
-    "fresh",
-    "get_counter",
-    "get_timestamp",
-    "increment",
-    "is_valid_actor",
-    "merge",
-    "prune",
-    "__version__",
-]
+__all__ = [*core.__all__, "backend_name", "__version__"]

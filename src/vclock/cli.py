@@ -189,11 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_increment)
     p = clock_sub.add_parser("prune", help="apply the size/age pruning rule")
     p.add_argument("clock")
-    p.add_argument("--now", type=_int_arg, required=True)
-    p.add_argument("--small", type=_int_arg, required=True)
-    p.add_argument("--large", type=_int_arg, required=True)
-    p.add_argument("--young", type=_int_arg, required=True)
-    p.add_argument("--old", type=_int_arg, required=True)
+    for name in ("now", "small", "large", "young", "old"):
+        p.add_argument(f"--{name}", type=_int_arg, required=True)
     p.set_defaults(func=_cmd_prune)
 
     run = sub.add_parser("run", help="execute a scenario script")

@@ -174,8 +174,8 @@ class PeanoCapacityError(ValueError):
 class PeanoNumeral:
     """A unary numeral: either Zero or a Successor wrapping another numeral.
 
-    Equality is structural and iterative, so deep numerals compare without
-    recursion.
+    Two numerals are equal when they have the same depth; counting it is
+    iterative, so deep numerals compare without recursion.
     """
 
     __slots__ = ()
@@ -183,18 +183,7 @@ class PeanoNumeral:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeanoNumeral):
             return NotImplemented
-        a: PeanoNumeral = self
-        b: PeanoNumeral = other
-        while True:
-            if a is b:
-                return True
-            a_succ = isinstance(a, Successor)
-            if a_succ != isinstance(b, Successor):
-                return False
-            if not a_succ:
-                return True
-            a = a.pred  # type: ignore[attr-defined]
-            b = b.pred  # type: ignore[attr-defined]
+        return peano_to_natural(self) == peano_to_natural(other)
 
     __hash__ = None  # type: ignore[assignment]
 

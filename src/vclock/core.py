@@ -99,16 +99,20 @@ def _require_actor(token: str) -> None:
         raise InvalidActorError(f"invalid actor token: {token!r}")
 
 
-def _malformed_entry(entry: object, exc: Exception | None = None) -> Exception:
-    # VClock's error path: name an iterable entry other than a tuple or list
-    # (a str, bytes, dict, set, range, ...) by its type; exc is the error its
-    # unpacking raised, if it did, and a TypeError there means not iterable
-    if isinstance(exc, TypeError):
+def _malformed_entry(entry: object) -> Exception:
+    # VClock's error path for an entry that is not a sequence of three: a
+    # tuple or list of another length and a non-iterable are named by the
+    # error their unpacking raises; anything else (a str, bytes, dict, set,
+    # range of another length, iterator, ...) is named by its type
+    try:
+        _, _, _ = entry  # type: ignore[misc]
+    except TypeError as exc:
         return TypeError(f"{exc}: entry {entry!r}")
-    if not isinstance(entry, (tuple, list)):
-        kind = type(entry).__name__
-        return ValueError(f"a {kind} is not an (actor, count, timestamp) triple: entry {entry!r}")
-    return ValueError(f"{exc}: entry {entry!r}")
+    except ValueError as exc:
+        if isinstance(entry, (tuple, list)):
+            return ValueError(f"{exc}: entry {entry!r}")
+    kind = type(entry).__name__
+    return ValueError(f"a {kind} is not an (actor, count, timestamp) triple: entry {entry!r}")
 
 
 class VClock:
@@ -125,30 +129,25 @@ class VClock:
     entries: tuple[ClockEntry, ...]
 
     def __init__(self, entries: Iterable[tuple[str, int, int]] = ()):
-        # one pass, entry by entry: shape, actor, then count, then timestamp.
+        # one pass, entry by entry: shape (a sequence of three that is not a
+        # str, bytes or bytearray), actor, then count, then timestamp.
         # The actor check stays a call through the module global, so a wrapper
         # installed there (a tracer, a counting test) sees every check.
         items = []
         for entry in entries:
-            try:
-                actor, count, timestamp = entry
-            except (TypeError, ValueError) as exc:  # not iterable, or not 3 fields
-                raise _malformed_entry(entry, exc) from None
-            # an entry of another type that fails a check is named by its type,
-            # not by whichever of its elements unpacked into the failing field
-            if not is_valid_actor(actor):
-                if not isinstance(entry, (tuple, list)):
+            match entry:
+                case (actor, count, timestamp):
+                    if not is_valid_actor(actor):
+                        raise InvalidActorError(f"invalid actor token: {actor!r}")
+                    if not isinstance(count, int) or count < 1:
+                        raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
+                    if not isinstance(timestamp, int) or timestamp < 0:
+                        raise ValueError(
+                            f"entry timestamp must be an integer >= 0, got {timestamp!r}"
+                        )
+                    items.append(_new_tuple(ClockEntry, (actor, int(count), int(timestamp))))
+                case _:
                     raise _malformed_entry(entry)
-                raise InvalidActorError(f"invalid actor token: {actor!r}")
-            if not isinstance(count, int) or count < 1:
-                if not isinstance(entry, (tuple, list)):
-                    raise _malformed_entry(entry)
-                raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
-            if not isinstance(timestamp, int) or timestamp < 0:
-                if not isinstance(entry, (tuple, list)):
-                    raise _malformed_entry(entry)
-                raise ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")
-            items.append(_new_tuple(ClockEntry, (actor, int(count), int(timestamp))))
         items.sort(key=_actor_of)
         if len(set(map(_actor_of, items))) < len(items):
             # report the first duplicate in actor order

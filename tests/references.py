@@ -1,6 +1,7 @@
 """Test oracles written independently of the library code they check."""
 
 import re
+from collections.abc import Iterable, Sequence
 
 from vclock import _backend
 from vclock.codec import (
@@ -47,24 +48,12 @@ def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
 def vclock_entries_reference(entries) -> tuple[ClockEntry, ...]:
     """VClock's validated construction, written as a plain loop.
 
-    Validates each entry in turn (arity, then actor, then count, then
-    timestamp); an entry that is not a tuple or list and fails with a
-    ValueError is refused as a whole, named by its type. Then sorts by actor
-    and reports the first adjacent duplicate. Returns the entries
-    VClock(entries) should hold, or raises the error it should raise. Used
-    to cross-check VClock.__init__.
+    Validates each entry in turn (shape, then actor, then count, then
+    timestamp), then sorts by actor and reports the first adjacent
+    duplicate. Returns the entries VClock(entries) should hold, or raises
+    the error it should raise. Used to cross-check VClock.__init__.
     """
-    items = []
-    for entry in entries:
-        try:
-            items.append(_entry_reference(entry))
-        except ValueError:
-            if isinstance(entry, (tuple, list)):
-                raise
-            raise ValueError(
-                f"a {type(entry).__name__} is not an (actor, count, timestamp) triple: "
-                f"entry {entry!r}"
-            ) from None
+    items = [_entry_reference(entry) for entry in entries]
     items.sort(key=lambda e: e.actor)
     for prev, cur in zip(items, items[1:]):
         if prev.actor == cur.actor:
@@ -73,13 +62,25 @@ def vclock_entries_reference(entries) -> tuple[ClockEntry, ...]:
 
 
 def _entry_reference(entry) -> ClockEntry:
-    # one entry's checks, in order: arity, actor, count, timestamp
-    try:
-        actor, count, timestamp = entry
-    except TypeError as exc:
-        raise TypeError(f"{exc}: entry {entry!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{exc}: entry {entry!r}") from None
+    # one entry's checks, in order: shape, actor, count, timestamp. An entry
+    # is a Sequence of length three that is not a str, bytes or bytearray; a
+    # tuple or list of another length is named by its unpacking error, a
+    # non-iterable as one, and anything else by its type
+    kind = type(entry).__name__
+    if isinstance(entry, (tuple, list)) and len(entry) != 3:
+        try:
+            actor, count, timestamp = entry
+        except ValueError as exc:  # the interpreter's own arity message
+            raise ValueError(f"{exc}: entry {entry!r}") from None
+    if not isinstance(entry, Iterable) and not hasattr(entry, "__getitem__"):
+        raise TypeError(f"cannot unpack non-iterable {kind} object: entry {entry!r}")
+    if (
+        not isinstance(entry, Sequence)
+        or isinstance(entry, (str, bytes, bytearray))
+        or len(entry) != 3
+    ):
+        raise ValueError(f"a {kind} is not an (actor, count, timestamp) triple: entry {entry!r}")
+    actor, count, timestamp = entry
     if not is_valid_actor(actor):
         raise InvalidActorError(f"invalid actor token: {actor!r}")
     if not isinstance(count, int) or count < 1:

@@ -149,6 +149,25 @@ def test_int_option_takes_max_digits(int_digit_limit, capsys, limit):
     assert capsys.readouterr().out == f"a:1:{at}\n"
 
 
+@pytest.mark.parametrize(
+    ("at", "stamp"),
+    [("\u0665", "5"), ("1_0", "10"), ("+7", "7"), (" 8", "8")],
+    ids=["arabic-indic-digit", "underscore", "plus-sign", "leading-space"],
+)
+def test_int_options_take_int_syntax(capsys, at, stamp):
+    # unlike wire text, an integer option takes whatever int() takes; only
+    # the MAX_DIGITS count is shared with the codec
+    assert main(["clock", "increment", "a", "-", "--at", at]) == 0
+    assert capsys.readouterr().out == f"a:1:{stamp}\n"
+
+
+def test_clock_prune_rejects_a_negative_now(capsys):
+    assert main(_prune_argv("--now", "-1")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --now: must be >= 0\n"
+
+
 def test_parse_error_names_the_argument(capsys):
     assert main(["clock", "compare", "a:x:1", "a:1:1"]) == 2
     err = capsys.readouterr().err
@@ -214,6 +233,16 @@ def test_run_writes_report_file(tmp_path, capsys):
     assert "PASS expect siblings r2 k 2" in report_path.read_text()
 
 
+def test_run_unwritable_report_exits_two(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(GOOD_SCENARIO)
+    assert main(["run", str(path), "--report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_reports_are_byte_identical(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text(GOOD_SCENARIO)
@@ -264,6 +293,15 @@ def test_check_exhaustive_faulty_output_is_pinned(faulty_compare, capsys):
 def test_check_random_small(capsys):
     assert main(["check", "--random", "25", "40", "4"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_check_random_notes_each_violating_seed(faulty_compare, capsys):
+    assert main(["check", "--random", "3", "12", "3"]) == 1
+    captured = capsys.readouterr()
+    *notes, summary = captured.err.splitlines()
+    assert notes == ["# seed 0", "# seed 1", "# seed 2"]
+    assert summary == f"checked 3 histories: {len(captured.out.splitlines())} violation line(s)"
+    assert captured.out
 
 
 def test_check_exhaustive_full_budget(capsys):

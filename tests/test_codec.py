@@ -424,6 +424,9 @@ def test_numeral_equality_is_structural():
     assert natural_to_peano(3) == natural_to_peano(3)
     assert natural_to_peano(3) != natural_to_peano(4)
     assert natural_to_peano(0) != natural_to_peano(1)
+    # a numeral never equals anything else, not even the int it denotes
+    assert natural_to_peano(2) != 2
+    assert natural_to_peano(2).__eq__(2) is NotImplemented
 
 
 def test_materialization_ceiling():

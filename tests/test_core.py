@@ -1,8 +1,10 @@
 """Core clock operation tests: examples, contracts, partial-order laws."""
 
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
 
 import pytest
@@ -116,6 +118,17 @@ def test_increment_rejects_bad_actor():
     for bad in ("", "a b", "a:b", "a;b", "\t", "x\n"):
         with pytest.raises(InvalidActorError):
             increment(bad, fresh(), FixedClock(0))
+
+
+@pytest.mark.parametrize("now", [-1, 1.5, "x"])
+def test_increment_rejects_a_bad_clock_source_timestamp(now):
+    class Source:
+        def now(self):
+            return now
+
+    with pytest.raises(ValueError) as info:
+        increment("a", fresh(), Source())
+    assert str(info.value) == f"clock source produced a bad timestamp: {now!r}"
 
 
 def actor_rule(token) -> bool:
@@ -347,6 +360,13 @@ def test_prune_requires_prune_bounds():
             prune(v, 1000, bounds)
 
 
+def test_prune_rejects_a_negative_now():
+    bounds = PruneBounds(small=0, large=0, young=0, old=0)
+    with pytest.raises(ValueError) as info:
+        prune(vc(("a", 1, 10)), -1, bounds)
+    assert str(info.value) == "prune now must be an integer >= 0, got -1"
+
+
 def test_prune_empty_clock_is_noop():
     bounds = PruneBounds(small=0, large=0, young=0, old=0)
     assert prune(fresh(), 10, bounds) == fresh()
@@ -405,6 +425,10 @@ def test_vclock_rejects_duplicates_and_bad_fields():
         VClock([("a;b", 1, 1)])
 
 
+# entries that unpack into the valid triple ("a", 1, 2), in some order
+_A12 = {"a", 1, 2}
+_TRIPLE_ITERATOR = iter(("a", 1, 2))
+
 # (entries, exception class, exact message), every message pinned from the
 # construction loop that validated entries through ClockEntry(...), except that
 # an entry that is not a triple is now named in its message
@@ -456,8 +480,8 @@ _CONSTRUCTOR_ERRORS = [
     ([("a", 1, 1), "a11"], ValueError,
      "a str is not an (actor, count, timestamp) triple: entry 'a11'"),
     ([("a", 0, 1), "abc"], ValueError, "entry count must be an integer >= 1, got 0"),
-    # so is any other iterable that is not a tuple or list, whichever check it
-    # fails, and not by the element that unpacked into the failing field
+    # so is any other entry that is not a sequence of three, and not by the
+    # element that would have unpacked into a failing field
     ([b"abc"], ValueError, "a bytes is not an (actor, count, timestamp) triple: entry b'abc'"),
     ([b"ab"], ValueError, "a bytes is not an (actor, count, timestamp) triple: entry b'ab'"),
     ([{"a": 1, "b": 2, "c": 3}], ValueError,
@@ -467,13 +491,30 @@ _CONSTRUCTOR_ERRORS = [
     ([{1, 2, 3}], ValueError, "a set is not an (actor, count, timestamp) triple: entry {1, 2, 3}"),
     ([frozenset([1, 2])], ValueError,
      "a frozenset is not an (actor, count, timestamp) triple: entry frozenset({1, 2})"),
-    ([range(1, 4)], ValueError,
-     "a range is not an (actor, count, timestamp) triple: entry range(1, 4)"),
+    # a range is a sequence, so one of three is read as a triple
+    ([range(1, 4)], InvalidActorError, "invalid actor token: 1"),
     ([("a", 1, 1), range(2)], ValueError,
      "a range is not an (actor, count, timestamp) triple: entry range(0, 2)"),
     # a tuple subclass and a list are triples
     ([ClockEntry("a", 0, 1)], ValueError, "entry count must be an integer >= 1, got 0"),
     ([["a", 1, -1]], ValueError, "entry timestamp must be an integer >= 0, got -1"),
+    # an entry that is not a sequence is refused even when it would unpack
+    # into a valid triple; a set's order, and so what it would unpack into,
+    # follows the per-process str hash
+    pytest.param([{"a": 1, 1: 0, 2: 0}], ValueError,
+                 "a dict is not an (actor, count, timestamp) triple: entry {'a': 1, 1: 0, 2: 0}",
+                 id="dict-of-a-valid-triple"),
+    pytest.param([_A12], ValueError,
+                 f"a set is not an (actor, count, timestamp) triple: entry {_A12!r}",
+                 id="set-of-a-valid-triple"),
+    pytest.param([frozenset(_A12)], ValueError,
+                 f"a frozenset is not an (actor, count, timestamp) triple: "
+                 f"entry {frozenset(_A12)!r}",
+                 id="frozenset-of-a-valid-triple"),
+    pytest.param([_TRIPLE_ITERATOR], ValueError,
+                 f"a tuple_iterator is not an (actor, count, timestamp) triple: "
+                 f"entry {_TRIPLE_ITERATOR!r}",
+                 id="iterator-of-a-valid-triple"),
 ]
 
 
@@ -496,6 +537,29 @@ def test_vclock_names_a_set_of_strs_the_same_way_each_run():
     assert str(info.value) == f"a set is not an (actor, count, timestamp) triple: entry {entry!r}"
 
 
+def test_vclock_refuses_a_set_the_same_way_under_every_hash_seed():
+    # {"a", 1, 2} unpacks into a valid triple under some str hash seeds and
+    # a bad one under others; each run must refuse it with the same message
+    script = (
+        "from vclock import VClock\n"
+        "entry = {'a', 1, 2}\n"
+        "try:\n"
+        "    print(VClock([entry]))\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__, str(exc).replace(repr(entry), '<entry>'))\n"
+    )
+    lines = set()
+    for seed in range(11):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        lines.add(done.stdout)
+    assert lines == {
+        "ValueError a set is not an (actor, count, timestamp) triple: entry <entry>\n"
+    }
+
+
 def test_vclock_constructor_normalizes_entries():
     v = VClock([("b", True, False), ("a", 2, True)])
     assert v.entries == (("a", 2, 1), ("b", 1, 0))
@@ -514,6 +578,7 @@ _any_number = (
 _any_entry = st.tuples(_any_actor, _any_number, _any_number) | st.sampled_from(
     [("a", 1), ("a", 1, 1, 1), (), 7, "abc", " bc", "ab", ""]
     + [b"abc", b"a", {"a": 1, 1: 0, 2: 0}, {"a": 0, "b": 0}, {1, 2, 3}, range(3), ["a", 1, 1]]
+    + [{"a", 1, 2}, frozenset({"a", 1, 2}), bytearray(b"abc"), range(1, 4), ["a", 1]]
 )
 
 
@@ -637,6 +702,12 @@ def test_system_clock_never_decreases():
 def test_step_clock_advances():
     clock = StepClock(start=3, step=2)
     assert [clock.now() for _ in range(3)] == [3, 5, 7]
+
+
+def test_step_clock_validation():
+    for start, step in ((-1, 1), (0, -1)):
+        with pytest.raises(ValueError, match="start and step must be >= 0"):
+            StepClock(start, step)
 
 
 def test_fixed_clock_validation():

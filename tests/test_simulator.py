@@ -536,6 +536,14 @@ def test_integrate_keeps_pairwise_concurrency():
             assert any(descends(out.clock, sib.clock) for out in result)
 
 
+def test_siblings_pairwise_concurrent_rejects_an_ordered_pair():
+    old, new = Sibling("x", vc(("a", 1, 5))), Sibling("y", vc(("a", 2, 6)))
+    concurrent = Sibling("z", vc(("b", 1, 7)))
+    assert siblings_pairwise_concurrent([old, concurrent])
+    assert not siblings_pairwise_concurrent([new, old])
+    assert not siblings_pairwise_concurrent([old, concurrent, new])
+
+
 def test_integrate_drops_equal_incoming():
     a = Sibling("x", vc(("a", 1, 5)))
     b = Sibling("y", vc(("a", 1, 9)))  # same counts, different timestamp
