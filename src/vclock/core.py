@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Iterator, Protocol
@@ -115,6 +114,14 @@ def _malformed_entry(entry: object) -> Exception:
     return ValueError(f"a {kind} is not an (actor, count, timestamp) triple: entry {entry!r}")
 
 
+def _bad_number(count: object, timestamp: object) -> ValueError:
+    # VClock's error for an entry whose count or timestamp fails: the count
+    # is named first
+    if not isinstance(count, int) or count < 1:
+        return ValueError(f"entry count must be an integer >= 1, got {count!r}")
+    return ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")
+
+
 class VClock:
     """Immutable vector clock: entries sorted by actor, one entry per actor.
 
@@ -139,13 +146,21 @@ class VClock:
                 case (actor, count, timestamp):
                     if not is_valid_actor(actor):
                         raise InvalidActorError(f"invalid actor token: {actor!r}")
-                    if not isinstance(count, int) or count < 1:
-                        raise ValueError(f"entry count must be an integer >= 1, got {count!r}")
-                    if not isinstance(timestamp, int) or timestamp < 0:
-                        raise ValueError(
-                            f"entry timestamp must be an integer >= 0, got {timestamp!r}"
-                        )
-                    items.append(_new_tuple(ClockEntry, (actor, int(count), int(timestamp))))
+                    if type(count) is int and type(timestamp) is int:
+                        # exact ints (decode's and most callers'): stored as given
+                        if count < 1 or timestamp < 0:
+                            raise _bad_number(count, timestamp)
+                    else:
+                        # a bool, another int subclass or a non-int
+                        if (
+                            not isinstance(count, int)
+                            or count < 1
+                            or not isinstance(timestamp, int)
+                            or timestamp < 0
+                        ):
+                            raise _bad_number(count, timestamp)
+                        count, timestamp = int(count), int(timestamp)
+                    items.append(_new_tuple(ClockEntry, (actor, count, timestamp)))
                 case _:
                     raise _malformed_entry(entry)
         items.sort(key=_actor_of)
@@ -243,7 +258,6 @@ class StepClock:
         return value
 
 
-@dataclass(frozen=True, slots=True)
 class PruneBounds:
     """The four pruning parameters.
 
@@ -251,22 +265,55 @@ class PruneBounds:
     large: above this many entries, old-enough entries go regardless of age cap.
     young: entries younger than now - young are never removed.
     old:   entries older than now - old are removable even below `large`.
+
+    An immutable value: equal to a PruneBounds of the same fields, hashed by
+    them, and copied or pickled through validation, as a VClock is.
     """
+
+    __slots__ = ("small", "large", "young", "old")
+    __match_args__ = __slots__
 
     small: int
     large: int
     young: int
     old: int
 
-    def __post_init__(self) -> None:
-        for name in ("small", "large", "young", "old"):
-            value = getattr(self, name)
+    def __init__(self, small: int, large: int, young: int, old: int):
+        for name, value in zip(self.__slots__, (small, large, young, old)):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"prune bound {name} must be an integer >= 0, got {value!r}")
-        if self.small > self.large:
-            raise ValueError(f"prune bounds require small <= large, got {self.small} > {self.large}")
-        if self.young > self.old:
-            raise ValueError(f"prune bounds require young <= old, got {self.young} > {self.old}")
+        if small > large:
+            raise ValueError(f"prune bounds require small <= large, got {small} > {large}")
+        if young > old:
+            raise ValueError(f"prune bounds require young <= old, got {young} > {old}")
+        for name, value in zip(self.__slots__, (small, large, young, old)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple[int, int, int, int]:
+        return (self.small, self.large, self.young, self.old)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PruneBounds is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("PruneBounds is immutable")
+
+    def __reduce__(self):
+        return (PruneBounds, self._values())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"PruneBounds(small={self.small!r}, large={self.large!r}, "
+            f"young={self.young!r}, old={self.old!r})"
+        )
 
 
 def fresh() -> VClock:

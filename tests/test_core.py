@@ -1,6 +1,7 @@
 """Core clock operation tests: examples, contracts, partial-order laws."""
 
 import copy
+import enum
 import os
 import pickle
 import random
@@ -353,6 +354,27 @@ def test_prune_rejects_bad_bounds():
         PruneBounds(small=-1, large=2, young=0, old=0)
 
 
+def test_prune_bounds_is_an_immutable_value():
+    bounds = PruneBounds(small=1, large=2, young=3, old=4)
+    assert repr(bounds) == "PruneBounds(small=1, large=2, young=3, old=4)"
+    assert PruneBounds(1, 2, 3, 4) == bounds
+    assert hash(PruneBounds(1, 2, 3, 4)) == hash(bounds)
+    assert bounds != (1, 2, 3, 4)
+    assert (bounds.small, bounds.large, bounds.young, bounds.old) == (1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        bounds.small = 0
+    with pytest.raises(AttributeError):
+        del bounds.old
+    match bounds:
+        case PruneBounds(s, l, y, o):
+            assert (s, l, y, o) == (1, 2, 3, 4)
+        case _:
+            pytest.fail("PruneBounds did not match its class pattern")
+    for twin in (pickle.loads(pickle.dumps(bounds)), copy.deepcopy(bounds), copy.copy(bounds)):
+        assert type(twin) is PruneBounds
+        assert twin == bounds and repr(twin) == repr(bounds)
+
+
 def test_prune_requires_prune_bounds():
     v = vc(("a", 1, 10), ("b", 1, 20))
     for bounds in ((0, 0, 0, 0), [0, 0, 0, 0], None):
@@ -560,9 +582,29 @@ def test_vclock_refuses_a_set_the_same_way_under_every_hash_seed():
     }
 
 
+def test_importing_the_library_loads_no_dataclasses():
+    # the set taken before the import, because site may preload modules
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import vclock, vclock.codec\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+class _Level(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    FIVE = 5
+
+
 def test_vclock_constructor_normalizes_entries():
-    v = VClock([("b", True, False), ("a", 2, True)])
-    assert v.entries == (("a", 2, 1), ("b", 1, 0))
+    v = VClock([("b", True, False), ("a", 2, True), ("c", _Level.FIVE, _Level.ONE)])
+    assert v.entries == (("a", 2, 1), ("b", 1, 0), ("c", 5, 1))
     for entry in v.entries:
         assert type(entry) is ClockEntry
         assert type(entry.count) is int and type(entry.timestamp) is int
@@ -573,7 +615,9 @@ def test_vclock_constructor_normalizes_entries():
 # actors, counts and timestamps that mix valid values with each kind of bad one
 _any_actor = st.sampled_from(["a", "b", "c", "", "a b", "a:b", "a;b", "\t", 5, None, b"a"])
 _any_number = (
-    st.integers(-2, 3) | st.booleans() | st.sampled_from([1.0, 1.5, "1", None, 2**70])
+    st.integers(-2, 3)
+    | st.booleans()
+    | st.sampled_from([1.0, 1.5, "1", None, 2**70, *_Level])
 )
 _any_entry = st.tuples(_any_actor, _any_number, _any_number) | st.sampled_from(
     [("a", 1), ("a", 1, 1, 1), (), 7, "abc", " bc", "ab", ""]
