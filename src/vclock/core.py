@@ -174,6 +174,9 @@ class VClock:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VClock is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("VClock is immutable")
+
     def __reduce__(self):
         return (VClock, (self.entries,))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from . import core
+from ._kernels_py import _new_tuple
 from .codec import MAX_DIGITS, DecodeError, decode
 from .core import FixedClock, Ordering, PruneBounds, VClock, canonical_text
 
@@ -143,14 +144,24 @@ def parse_scenario(text: str) -> Scenario:
     them; prune requires a bounds declaration. Any violation raises
     ScenarioError with the line number. A command line is checked against its
     _OPS entry: arity, then each argument's kind left to right, then bounds.
+
+    A command line that repeats an earlier one (after stripping) is not
+    checked again: its Command reuses the first one's op and args. Nothing
+    later can undo a check that passed, since replicas and bounds are
+    declared once, keys are only added, and neither declaration is reused.
     """
     replicas: dict[str, str] = {}  # each declared name -> itself, shared by every command
     bounds: PruneBounds | None = None
     keys: dict[str, str] = {}  # each key -> the str of its first update
     commands: list[Command] = []
+    parsed: dict[str, Command] = {}  # each command line -> its first Command
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
+            continue
+        first = parsed.get(line)
+        if first is not None:
+            commands.append(_new_tuple(Command, (line_no, first.op, first.args)))
             continue
         op, *operands = line.split()
         if op == "replicas":
@@ -193,7 +204,8 @@ def parse_scenario(text: str) -> Scenario:
             args.append(_argument(kind, token, line_no, replicas, keys, args))
         if spec.needs_bounds and bounds is None:
             raise ScenarioError(f"line {line_no}: {spec.op} used without a bounds declaration")
-        commands.append(Command(line_no, spec.op, tuple(args)))
+        parsed[line] = command = Command(line_no, spec.op, tuple(args))
+        commands.append(command)
     return Scenario(replicas=tuple(replicas), bounds=bounds, commands=tuple(commands))
 
 

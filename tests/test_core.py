@@ -645,6 +645,17 @@ def test_vclock_is_immutable_and_hashable():
     assert "a:1:1" in repr(v)
 
 
+def test_vclock_refuses_attribute_deletion():
+    v = vc(("a", 2, 7), ("b", 1, 3))
+    assert str(v) == "a:2:7;b:1:3"  # stores the rendered text on the clock
+    for name in ("entries", "_text"):
+        with pytest.raises(AttributeError, match="VClock is immutable"):
+            delattr(v, name)
+    assert v == vc(("b", 1, 3), ("a", 2, 7))
+    assert str(v) == "a:2:7;b:1:3"
+    assert repr(v) == "VClock('a:2:7;b:1:3')"
+
+
 def test_empty_clock_renders_as_dash():
     assert canonical_text(fresh()) == "-"
 

@@ -238,6 +238,15 @@ def test_numeric_token_over_a_lowered_int_limit_is_named(int_digit_limit):
             WRITTEN + "expect clock r1 j nonsense\n",
             "line 3: key 'j' is never written before this line",
         ),
+        # a repeated command line reuses its first parse; a declaration never does
+        (
+            WRITTEN + "read r1 k\nread r1 k\nreplicas r1 r2\n",
+            "line 5: duplicate replicas declaration",
+        ),
+        (
+            WRITTEN + "read r1 k\nread r1 k\nread r1 k\nread r1 j\n",
+            "line 6: key 'j' is never written before this line",
+        ),
     ],
 )
 def test_parse_error_messages(script, message):
@@ -337,12 +346,44 @@ def test_parse_validates_each_declared_or_new_name_once(monkeypatch):
     assert len(calls) == 8 + 32
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_repeated_lines_parse_as_the_uncached_parse(seed):
+    # split() ignores runs of inner spaces, but the reuse of a repeated line's
+    # parse keys on the line's text: widening line i's first separator to
+    # i + 1 spaces leaves no line repeated, so every line is parsed in full
+    text = seeded_script(seed)
+    lines = text.splitlines()
+    widened = "\n".join(line.replace(" ", " " * (i + 1), 1) for i, line in enumerate(lines, 1))
+    assert len(set(widened.splitlines())) == len(lines)
+    cached, uncached = parse_scenario(text), parse_scenario(widened)
+    assert cached.commands == uncached.commands  # line_no, op and args
+    assert len({id(cmd.args) for cmd in uncached.commands}) == len(uncached.commands)
+    for collapse in (True, False):
+        assert run_scenario(cached, collapse).text == run_scenario(uncached, collapse).text
+    # a repeated line shares its first occurrence's args object
+    first: dict[str, Command] = {}
+    repeats = 0
+    for cmd in cached.commands:
+        seen = first.setdefault(lines[cmd.line_no - 1], cmd)
+        if seen is not cmd:
+            assert cmd.args is seen.args and cmd.op == seen.op
+            repeats += 1
+    assert repeats > 100  # 123-127 of the 1,500 command lines on seeds 0-2
+    # leading and trailing blanks are stripped before the line is looked up
+    padded = WRITTEN + "read r1 k\n  read r1 k\n\tread r1 k\nread r1 k \t\n"
+    reads = parse_scenario(padded).commands[1:]
+    assert reads == tuple(Command(n, "read", ("r1", "k")) for n in range(3, 7))
+    assert all(cmd.args is reads[0].args for cmd in reads)
+
+
 # sha256 of repr(scenario.commands), and of the reports, as parsed and run
-# before replica and key names were shared: equal strings, equal commands
+# before replica and key names were shared (prune_lost_write: before a
+# repeated line reused its first parse): equal strings, equal commands
 _COMMANDS_SHA256 = {
     "causal_overwrite": "c95a211185e1b8c2609c35a2513b40053bed8b406295f402f7ddfb0bf2e399f3",
     "concurrent_write": "ee668dea0bcd2e973f545c67c71dffa4f4c718d5c60d1911018a21b17195435c",
     "prune_false_concurrency": "d24ab920b8b9b0122c00e73eddcef670dfedabca6ee5d1bb49672f36b8967371",
+    "prune_lost_write": "35e4dc74f6b3e845fc225e07a2ad6904695b434e583a09b7310a5d735837aa23",
     "seeded": "987fa5a6de86728e4113083efc21d284f7713985cc80df31168c9899718aa62e",
 }
 _SEEDED_REPORT_SHA256 = {
@@ -745,7 +786,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "no-collapse"])
 @pytest.mark.parametrize(
-    "name", ["causal_overwrite", "concurrent_write", "prune_false_concurrency"]
+    "name", ["causal_overwrite", "concurrent_write", "prune_false_concurrency", "prune_lost_write"]
 )
 def test_shipped_scenario_reports_match_golden(name, collapse):
     suffix = "" if collapse else ".no-collapse"
