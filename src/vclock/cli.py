@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import codec, oracle
+from . import codec
 from .core import FixedClock, PruneBounds, VClock, compare, descends, increment, merge, prune
 from .simulator import ScenarioError, load_scenario, run_scenario
 
@@ -105,6 +105,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import oracle  # imported on use, so `vclock run` does not compile it
+
     rendered: list[str] = []
     checked = 0
     try:

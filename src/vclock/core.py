@@ -261,7 +261,59 @@ class StepClock:
         return value
 
 
-class PruneBounds:
+class _Fields:
+    """Value behaviour over the attributes named in a class's __match_args__.
+
+    == holds only against an instance of the same class (anything else gets
+    NotImplemented), and hash and repr go over the tuple of those attributes
+    in order, as a dataclass's do. _set_fields stores them, bypassing any
+    __setattr__. A subclass without __slots__ keeps an instance __dict__.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Fields):
+    """A _Fields record that refuses to set or delete any attribute.
+
+    It raises dataclasses.FrozenInstanceError with a frozen dataclass's
+    messages; dataclasses is imported on that error path only.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class PruneBounds(_Fields):
     """The four pruning parameters.
 
     small: keep the clock untouched at or below this many entries.
@@ -289,11 +341,7 @@ class PruneBounds:
             raise ValueError(f"prune bounds require small <= large, got {small} > {large}")
         if young > old:
             raise ValueError(f"prune bounds require young <= old, got {young} > {old}")
-        for name, value in zip(self.__slots__, (small, large, young, old)):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple[int, int, int, int]:
-        return (self.small, self.large, self.young, self.old)
+        self._set_fields(small, large, young, old)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PruneBounds is immutable")
@@ -303,20 +351,6 @@ class PruneBounds:
 
     def __reduce__(self):
         return (PruneBounds, self._values())
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"PruneBounds(small={self.small!r}, large={self.large!r}, "
-            f"young={self.young!r}, old={self.old!r})"
-        )
 
 
 def fresh() -> VClock:

@@ -11,15 +11,13 @@ bug.
 from __future__ import annotations
 
 import random
-import string
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import core
 from ._backend import kernels
-from .core import _ORDERINGS, FixedClock, Ordering, PruneBounds, VClock
+from .core import _ORDERINGS, FixedClock, Ordering, PruneBounds, VClock, _Frozen
 
 __all__ = [
     "MAX_ENUM_ACTORS",
@@ -47,8 +45,8 @@ _DOMINATED = kernels.DOMINATED
 _GRAPH_CODES = bytes.maketrans(b"01", bytes((kernels.CONCURRENT, _DOMINATED)))
 _MIRROR = (Ordering.EQUAL, Ordering.DOMINATED, Ordering.DESCENDS, Ordering.CONCURRENT)
 _NO_PREDECESSORS: frozenset[int] = frozenset()
-# build_history makes its records as core._wrap makes a VClock: without the
-# generated __init__, one attribute store per field
+# build_history makes its records as core._wrap makes a VClock: without
+# calling __init__, one attribute store per field
 _new = object.__new__
 _setattr = object.__setattr__
 
@@ -57,8 +55,7 @@ class EnumerationBudgetError(ValueError):
     """Requested exhaustive enumeration exceeds the fixed budget."""
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(_Frozen):
     """One node of the happened-before DAG.
 
     received_from is None for a local update, otherwise the id of the
@@ -67,19 +64,26 @@ class EventRecord:
     clock is the snapshot taken at this event during replay.
     """
 
-    id: int
-    actor: str
-    received_from: int | None
-    predecessors: frozenset[int]
-    clock: VClock
+    __match_args__ = ("id", "actor", "received_from", "predecessors", "clock")
+
+    def __init__(
+        self,
+        id: int,
+        actor: str,
+        received_from: int | None,
+        predecessors: frozenset[int],
+        clock: VClock,
+    ):
+        self._set_fields(id, actor, received_from, predecessors, clock)
 
 
-@dataclass(frozen=True)
-class History:
+class History(_Frozen):
     """Events in topological order (predecessors reference lower indices)."""
 
-    events: tuple[EventRecord, ...]
-    actors: tuple[str, ...]
+    __match_args__ = ("events", "actors")
+
+    def __init__(self, events: tuple[EventRecord, ...], actors: tuple[str, ...]):
+        self._set_fields(events, actors)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -100,7 +104,7 @@ class Violation(NamedTuple):
 def actor_name(index: int) -> str:
     """Canonical actor name for an index: a, b, c, ... then a26, a27, ..."""
     if index < 26:
-        return string.ascii_lowercase[index]
+        return chr(ord("a") + index)
     return f"a{index}"
 
 
@@ -160,8 +164,8 @@ def build_history(
             preds = frozenset((prev,))
         else:
             preds = frozenset((prev, received_from))
-        # the fields in the generated __init__'s order, so the instance dict
-        # shares its keys with every other record's
+        # the fields in __init__'s order, so the instance dict shares its
+        # keys with every other record's
         record = _new(EventRecord)
         _setattr(record, "id", i)
         _setattr(record, "actor", actor)

@@ -9,13 +9,12 @@ the script alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from . import core
 from ._kernels_py import _new_tuple
 from .codec import MAX_DIGITS, DecodeError, decode
-from .core import FixedClock, Ordering, PruneBounds, VClock, canonical_text
+from .core import FixedClock, Ordering, PruneBounds, VClock, _Fields, _Frozen, canonical_text
 
 __all__ = [
     "Command",
@@ -50,23 +49,34 @@ class Command(NamedTuple):
     args: tuple
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """A parsed script: declared replicas, optional prune bounds, commands."""
 
-    replicas: tuple[str, ...]
-    bounds: PruneBounds | None
-    commands: tuple[Command, ...]
+    __match_args__ = ("replicas", "bounds", "commands")
+
+    def __init__(
+        self, replicas: tuple[str, ...], bounds: PruneBounds | None, commands: tuple[Command, ...]
+    ):
+        self._set_fields(replicas, bounds, commands)
 
 
-@dataclass
-class RunReport:
-    """Outcome of a scenario run: the text log plus structured final stores."""
+class RunReport(_Fields):
+    """Outcome of a scenario run: the text log plus structured final stores.
 
-    lines: tuple[str, ...]
-    passes: int
-    fails: int
-    stores: dict[str, dict[str, tuple[str, ...]]] = field(default_factory=dict)
+    Mutable, so unhashable; stores defaults to a new empty dict.
+    """
+
+    __match_args__ = ("lines", "passes", "fails", "stores")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        lines: tuple[str, ...],
+        passes: int,
+        fails: int,
+        stores: dict[str, dict[str, tuple[str, ...]]] | None = None,
+    ):
+        self._set_fields(lines, passes, fails, {} if stores is None else stores)
 
     @property
     def ok(self) -> bool:
@@ -259,15 +269,21 @@ def siblings_pairwise_concurrent(siblings: Iterable[Sibling]) -> bool:
     return True
 
 
-@dataclass
-class _Run:
+class _Run(_Fields):
     """One run's stores and assertion tally; each handler method runs one command."""
 
-    stores: dict[str, dict[str, list[Sibling]]]
-    bounds: PruneBounds | None
-    collapse: bool
-    passes: int = 0
-    fails: int = 0
+    __match_args__ = ("stores", "bounds", "collapse", "passes", "fails")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        stores: dict[str, dict[str, list[Sibling]]],
+        bounds: PruneBounds | None,
+        collapse: bool,
+        passes: int = 0,
+        fails: int = 0,
+    ):
+        self._set_fields(stores, bounds, collapse, passes, fails)
 
     def verdict(self, ok: bool, claim: str, why: str) -> str:
         """Count one assertion and return its PASS/FAIL report line."""

@@ -1,12 +1,14 @@
 """Core clock operation tests: examples, contracts, partial-order laws."""
 
 import copy
+import dataclasses
 import enum
 import os
 import pickle
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,8 @@ from vclock.core import (
     merge,
     prune,
 )
+from vclock.oracle import EventRecord, History
+from vclock.simulator import Command, RunReport, Scenario
 
 from references import outcome, vclock_entries_reference
 
@@ -375,6 +379,86 @@ def test_prune_bounds_is_an_immutable_value():
         assert twin == bounds and repr(twin) == repr(bounds)
 
 
+_CLOCK = VClock([("a", 1, 0)])
+_EVENT = EventRecord(0, "a", None, frozenset(), _CLOCK)
+_RECORDS = [
+    (
+        EventRecord,
+        {"id": 0, "actor": "a", "received_from": None, "predecessors": frozenset(), "clock": _CLOCK},
+        "EventRecord(id=0, actor='a', received_from=None, predecessors=frozenset(), "
+        "clock=VClock('a:1:0'))",
+    ),
+    (
+        History,
+        {"events": (_EVENT,), "actors": ("a",)},
+        f"History(events=({_EVENT!r},), actors=('a',))",
+    ),
+    (
+        Scenario,
+        {
+            "replicas": ("r1",),
+            "bounds": PruneBounds(0, 1, 2, 3),
+            "commands": (Command(2, "read", ("r1", "k")),),
+        },
+        "Scenario(replicas=('r1',), bounds=PruneBounds(small=0, large=1, young=2, old=3), "
+        "commands=(Command(line_no=2, op='read', args=('r1', 'k')),))",
+    ),
+    (
+        RunReport,
+        {"lines": ("x",), "passes": 1, "fails": 0, "stores": {"r1": {"k": ("v@r1:1:1",)}}},
+        "RunReport(lines=('x',), passes=1, fails=0, stores={'r1': {'k': ('v@r1:1:1',)}})",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "fields", "text"), _RECORDS, ids=[cls.__name__ for cls, _, _ in _RECORDS]
+)
+def test_records_keep_their_value_contract(cls, fields, text):
+    # dataclass-style value behaviour, without the dataclasses module
+    values = tuple(fields.values())
+    record = cls(**fields)
+    assert cls(*values) == record and not cls(*values) != record
+    assert vars(record) == fields and list(vars(record)) == list(fields)
+    assert cls.__match_args__ == tuple(fields) and "__slots__" not in vars(cls)
+    assert repr(record) == text
+    for other in (values, types.SimpleNamespace(**fields)):
+        assert record != other and other != record
+        assert record.__eq__(other) is NotImplemented
+    match record:
+        case EventRecord(i, a, r, p, c):
+            matched = (i, a, r, p, c)
+        case History(events, actors):
+            matched = (events, actors)
+        case Scenario(replicas, bounds, commands):
+            matched = (replicas, bounds, commands)
+        case RunReport(lines, passes, fails, stores):
+            matched = (lines, passes, fails, stores)
+        case _:
+            pytest.fail(f"{cls.__name__} did not match its class pattern")
+    assert matched == values
+    if cls is RunReport:
+        with pytest.raises(TypeError):
+            hash(record)
+        record.passes = 2
+        assert record.passes == 2
+        first, second = RunReport((), 0, 0), RunReport(lines=(), passes=0, fails=0)
+        assert first.stores == {} and first.stores is not second.stores
+    else:
+        assert hash(record) == hash(values)
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError) as info:
+                setattr(record, name, None)
+            assert str(info.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(dataclasses.FrozenInstanceError) as info:
+                delattr(record, name)
+            assert str(info.value) == f"cannot delete field {name!r}"
+        assert vars(record) == fields
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert type(twin) is cls
+        assert twin == record and repr(twin) == repr(record)
+
+
 def test_prune_requires_prune_bounds():
     v = vc(("a", 1, 10), ("b", 1, 20))
     for bounds in ((0, 0, 0, 0), [0, 0, 0, 0], None):
@@ -587,13 +671,27 @@ def test_importing_the_library_loads_no_dataclasses():
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import vclock, vclock.codec\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "import vclock, vclock.codec, vclock.oracle, vclock.simulator, vclock.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'string'} & (set(sys.modules) - before)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_the_cli_loads_the_oracle_only_to_check():
+    script = (
+        "import sys\n"
+        "import vclock.cli\n"
+        "print('vclock.oracle' in sys.modules)\n"
+        "code = vclock.cli.main(['check', '--exhaustive', '3', '2'])\n"
+        "print(code, 'vclock.oracle' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n0 True\n"
 
 
 class _Level(enum.IntEnum):
