@@ -5,6 +5,10 @@ Subcommands: clock (pointwise algebra on canonical clock texts), run
 (unary numeral cost table). Exit status: 0 success, 1 assertion or
 equivalence failure, 2 usage or parse error. Clocks cross this boundary
 only as canonical text; booleans print as lowercase true/false.
+
+Only ``core`` is imported with this module. Each subcommand imports what it
+runs when it runs: ``clock`` and ``peano-bench`` the codec, ``run`` the
+simulator (which loads the codec), ``check`` the oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +16,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import codec
-from .core import FixedClock, PruneBounds, VClock, compare, descends, increment, merge, prune
-from .simulator import ScenarioError, load_scenario, run_scenario
+from .core import (
+    MAX_DIGITS,
+    EncodeError,
+    FixedClock,
+    PruneBounds,
+    VClock,
+    compare,
+    descends,
+    increment,
+    merge,
+    prune,
+)
 
 # an early-2014 UNIX timestamp: the standing example of a value whose unary
 # encoding is hopeless at full scale
@@ -28,13 +41,13 @@ class _UsageError(Exception):
 
 
 def _int_arg(text: str) -> int:
-    """argparse type of every integer option: int(), refusing over codec.MAX_DIGITS digits.
+    """argparse type of every integer option: int(), refusing over MAX_DIGITS digits.
 
     Digits are counted as int() counts them, so under the interpreter's
     default limit every text is accepted or refused with the same message.
     """
     try:
-        if sum(map(str.isdecimal, text)) > codec.MAX_DIGITS:
+        if sum(map(str.isdecimal, text)) > MAX_DIGITS:
             raise ValueError
         return int(text)
     except ValueError:
@@ -42,16 +55,24 @@ def _int_arg(text: str) -> int:
 
 
 def _decode_arg(name: str, text: str) -> VClock:
+    from . import codec  # imported on use, so `vclock check` does not compile it
+
     try:
         return codec.decode(text)
     except codec.DecodeError as exc:
         raise _UsageError(f"argument {name}: {exc}") from exc
 
 
+def _encode(v: VClock) -> str:
+    from . import codec
+
+    return codec.encode(v)
+
+
 # name -> (help text, result line) of each two-clock operation
 _PAIR_OPS = {
     "compare": ("four-way comparison", lambda a, b: compare(a, b).value),
-    "merge": ("per-actor maximum", lambda a, b: codec.encode(merge(a, b))),
+    "merge": ("per-actor maximum", lambda a, b: _encode(merge(a, b))),
     "descends": ("left covers right?", lambda a, b: "true" if descends(a, b) else "false"),
 }
 
@@ -69,7 +90,7 @@ def _cmd_increment(args: argparse.Namespace) -> int:
         result = increment(args.actor, v, FixedClock(args.at))
     except ValueError as exc:
         raise _UsageError(f"argument actor/--at: {exc}") from exc
-    print(codec.encode(result))
+    print(_encode(result))
     return 0
 
 
@@ -81,11 +102,23 @@ def _cmd_prune(args: argparse.Namespace) -> int:
         raise _UsageError(f"argument --small/--large/--young/--old: {exc}") from exc
     if args.now < 0:
         raise _UsageError("argument --now: must be >= 0")
-    print(codec.encode(prune(v, args.now, bounds)))
+    print(_encode(prune(v, args.now, bounds)))
     return 0
 
 
+def run_scenario(scenario, collapse=True):
+    """simulator.run_scenario, called by `vclock run` through this module's name.
+
+    A tracer wraps every `vclock run` by patching this one name on the module.
+    """
+    from . import simulator
+
+    return simulator.run_scenario(scenario, collapse=collapse)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .simulator import ScenarioError, load_scenario  # imported on use, as the oracle is
+
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:
@@ -144,6 +177,8 @@ def _best_micros(fn) -> float:
 
 
 def _cmd_peano_bench(args: argparse.Namespace) -> int:
+    from . import codec
+
     max_n = args.max_n
     if max_n < 0 or max_n > codec.MATERIALIZATION_LIMIT:
         raise _UsageError(f"max_n must be between 0 and {codec.MATERIALIZATION_LIMIT}")
@@ -236,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # an EncodeError is an input clock whose result the wire cannot carry
-    except (_UsageError, codec.EncodeError) as exc:
+    except (_UsageError, EncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

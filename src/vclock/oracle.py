@@ -102,7 +102,9 @@ class Violation(NamedTuple):
 
 
 def actor_name(index: int) -> str:
-    """Canonical actor name for an index: a, b, c, ... then a26, a27, ..."""
+    """Canonical actor name for an index >= 0: a, b, c, ... then a26, a27, ..."""
+    if index < 0:
+        raise ValueError(f"actor index must be >= 0, got {index}")
     if index < 26:
         return chr(ord("a") + index)
     return f"a{index}"

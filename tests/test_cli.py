@@ -253,6 +253,29 @@ def test_run_reports_are_byte_identical(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_run_goes_through_the_module_run_scenario(monkeypatch, capsys):
+    # a tracer wraps `vclock run` by patching the name in the module's dict
+    from vclock import cli, simulator
+
+    assert "run_scenario" in cli.__dict__
+    calls = []
+    forward = cli.run_scenario
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", wrapper)
+    for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt")):
+        for flags in ([], ["--no-collapse"]):
+            calls.clear()
+            code = main(["run", str(path), *flags])
+            assert len(calls) == 1
+            report = simulator.run_scenario(simulator.load_scenario(str(path)), not flags)
+            assert capsys.readouterr().out == report.text
+            assert code == (0 if report.ok else 1)
+
+
 def test_check_exhaustive_small(capsys):
     assert main(["check", "--exhaustive", "4", "2"]) == 0
     captured = capsys.readouterr()

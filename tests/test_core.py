@@ -681,17 +681,27 @@ def test_importing_the_library_loads_no_dataclasses():
 
 
 def test_the_cli_loads_the_oracle_only_to_check():
+    # each subcommand loads the modules it runs, and no others, when it runs
+    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios", "causal_overwrite.txt")
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import vclock.cli\n"
-        "print('vclock.oracle' in sys.modules)\n"
-        "code = vclock.cli.main(['check', '--exhaustive', '3', '2'])\n"
-        "print(code, 'vclock.oracle' in sys.modules)\n"
+        "lazy = ('vclock.oracle', 'vclock.simulator', 'vclock.codec')\n"
+        "print(*[m for m in lazy if m in sys.modules])\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = vclock.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in set(sys.modules) - before if m.startswith('vclock')))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "False\n0 True\n"
+    for argv, added in [
+        (["check", "--exhaustive", "3", "2"], "vclock.oracle"),
+        (["run", scenario], "vclock.codec vclock.simulator"),
+        (["clock", "merge", "a:2:10", "b:1:5"], "vclock.codec"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == f"\n0 {added}\n", argv
 
 
 class _Level(enum.IntEnum):

@@ -548,6 +548,9 @@ def test_actor_names_extend_beyond_the_alphabet():
     assert actor_name(0) == "a"
     assert actor_name(25) == "z"
     assert actor_name(26) == "a26"
+    for index in (-1, -26, -27):
+        with pytest.raises(ValueError, match=rf"^actor index must be >= 0, got {index}$"):
+            actor_name(index)
 
 
 # --- simulator/oracle agreement helper ---------------------------------------------
