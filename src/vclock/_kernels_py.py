@@ -2,7 +2,10 @@
 
 An entry sequence is a tuple of (actor, count, timestamp) triples sorted by
 actor with no duplicate actors. These functions are the hot inner loops of
-clock comparison. A clock's entries are :class:`ClockEntry` triples, and on
+clock comparison. :func:`compare_entries` is the one comparison loop:
+:func:`descends_entries` and :func:`equal_entries` read its code, calling it
+through this module's global, so a patched ``compare_entries`` sees every
+comparison. A clock's entries are :class:`ClockEntry` triples, and on
 such inputs :func:`merge_entries` returns only :class:`ClockEntry` triples,
 so a merged clock needs no conversion.
 """
@@ -77,26 +80,12 @@ def compare_entries(a, b):
 
 def descends_entries(a, b):
     """True iff every (actor, count) in b is covered by a (pointwise >=)."""
-    i = 0
-    na = len(a)
-    for eb in b:
-        actor = eb[0]
-        while i < na and a[i][0] < actor:
-            i += 1
-        if i >= na or a[i][0] != actor or a[i][1] < eb[1]:
-            return False
-        i += 1
-    return True
+    return compare_entries(a, b) in (EQUAL, DESCENDS)
 
 
 def equal_entries(a, b):
     """True iff a and b hold identical (actor, count) pairs."""
-    if len(a) != len(b):
-        return False
-    for ea, eb in zip(a, b):
-        if ea[0] != eb[0] or ea[1] != eb[1]:
-            return False
-    return True
+    return compare_entries(a, b) == EQUAL
 
 
 def merge_entries(a, b):

@@ -122,7 +122,76 @@ def _bad_number(count: object, timestamp: object) -> ValueError:
     return ValueError(f"entry timestamp must be an integer >= 0, got {timestamp!r}")
 
 
-class VClock:
+class _Fields:
+    """Value behaviour over the attributes named in a class's __match_args__.
+
+    == holds only against an instance of the same class (anything else gets
+    NotImplemented), and hash and repr go over the tuple of those attributes
+    in order, as a dataclass's do. Copies and pickles rebuild an instance
+    through its constructor, called with that tuple. _set_fields stores the
+    attributes, bypassing any __setattr__. A subclass without __slots__
+    keeps an instance __dict__.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Fields):
+    """A _Fields record that refuses to set or delete any attribute.
+
+    It raises dataclasses.FrozenInstanceError with a frozen dataclass's
+    messages; dataclasses is imported on that error path only.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Immutable(_Fields):
+    """A _Fields value that refuses to set or delete any attribute."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+
+class VClock(_Immutable):
     """Immutable vector clock: entries sorted by actor, one entry per actor.
 
     Structural equality (``==``) includes timestamps; the causal,
@@ -132,6 +201,7 @@ class VClock:
 
     # _text: canonical_text's rendering, stored on first use; unset until then
     __slots__ = ("entries", "_text")
+    __match_args__ = ("entries",)
 
     entries: tuple[ClockEntry, ...]
 
@@ -170,23 +240,6 @@ class VClock:
                 if prev[0] == cur[0]:
                     raise ValueError(f"duplicate actor in clock: {cur[0]!r}")
         object.__setattr__(self, "entries", tuple(items))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VClock is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("VClock is immutable")
-
-    def __reduce__(self):
-        return (VClock, (self.entries,))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VClock):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -261,59 +314,7 @@ class StepClock:
         return value
 
 
-class _Fields:
-    """Value behaviour over the attributes named in a class's __match_args__.
-
-    == holds only against an instance of the same class (anything else gets
-    NotImplemented), and hash and repr go over the tuple of those attributes
-    in order, as a dataclass's do. _set_fields stores them, bypassing any
-    __setattr__. A subclass without __slots__ keeps an instance __dict__.
-    """
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...]
-
-    def _set_fields(self, *values: object) -> None:
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class _Frozen(_Fields):
-    """A _Fields record that refuses to set or delete any attribute.
-
-    It raises dataclasses.FrozenInstanceError with a frozen dataclass's
-    messages; dataclasses is imported on that error path only.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class PruneBounds(_Fields):
+class PruneBounds(_Immutable):
     """The four pruning parameters.
 
     small: keep the clock untouched at or below this many entries.
@@ -321,8 +322,9 @@ class PruneBounds(_Fields):
     young: entries younger than now - young are never removed.
     old:   entries older than now - old are removable even below `large`.
 
-    An immutable value: equal to a PruneBounds of the same fields, hashed by
-    them, and copied or pickled through validation, as a VClock is.
+    An immutable value, as a VClock is: equal to a PruneBounds of the same
+    fields, hashed by them, and copied or pickled through validation. A bool
+    or another int subclass is stored as its int.
     """
 
     __slots__ = ("small", "large", "young", "old")
@@ -334,23 +336,15 @@ class PruneBounds(_Fields):
     old: int
 
     def __init__(self, small: int, large: int, young: int, old: int):
-        for name, value in zip(self.__slots__, (small, large, young, old)):
+        values = (small, large, young, old)
+        for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"prune bound {name} must be an integer >= 0, got {value!r}")
         if small > large:
             raise ValueError(f"prune bounds require small <= large, got {small} > {large}")
         if young > old:
             raise ValueError(f"prune bounds require young <= old, got {young} > {old}")
-        self._set_fields(small, large, young, old)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PruneBounds is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("PruneBounds is immutable")
-
-    def __reduce__(self):
-        return (PruneBounds, self._values())
+        self._set_fields(*map(int, values))
 
 
 def fresh() -> VClock:

@@ -269,21 +269,20 @@ def siblings_pairwise_concurrent(siblings: Iterable[Sibling]) -> bool:
     return True
 
 
-class _Run(_Fields):
+class _Run:
     """One run's stores and assertion tally; each handler method runs one command."""
-
-    __match_args__ = ("stores", "bounds", "collapse", "passes", "fails")
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
         stores: dict[str, dict[str, list[Sibling]]],
         bounds: PruneBounds | None,
         collapse: bool,
-        passes: int = 0,
-        fails: int = 0,
     ):
-        self._set_fields(stores, bounds, collapse, passes, fails)
+        self.stores = stores
+        self.bounds = bounds
+        self.collapse = collapse
+        self.passes = 0
+        self.fails = 0
 
     def verdict(self, ok: bool, claim: str, why: str) -> str:
         """Count one assertion and return its PASS/FAIL report line."""

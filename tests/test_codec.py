@@ -392,6 +392,7 @@ def test_zero_numeral():
     assert natural_to_peano(0) == Zero()
     assert isinstance(natural_to_peano(0), Zero)
     assert peano_to_natural(ZERO) == 0
+    assert repr(ZERO) == "Zero()"
 
 
 def test_two_is_two_successors_over_zero():
@@ -405,6 +406,7 @@ def test_two_is_two_successors_over_zero():
 def test_peano_to_natural_counts_depth():
     assert peano_to_natural(Successor(ZERO)) == 1
     assert peano_to_natural(natural_to_peano(1024)) == 1024
+    assert repr(natural_to_peano(3)) == "Successor(depth=3)"
 
 
 def test_round_trip_sample():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclock._backend import kernels
 from vclock.core import (
     ClockEntry,
     EncodeError,
@@ -199,6 +200,23 @@ def test_descends_is_reflexive():
 # --- compare -----------------------------------------------------------------
 
 
+def test_compare_descends_and_equal_make_one_kernel_comparison(monkeypatch):
+    # descends and equal read compare_entries' code, through the module global
+    calls = []
+    compare_entries = kernels.compare_entries
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compare_entries(a, b)
+
+    monkeypatch.setattr(kernels, "compare_entries", counting)
+    v1, v2 = vc(("a", 2, 0), ("b", 1, 0)), vc(("a", 1, 0))
+    for op, expected in ((compare, Ordering.DESCENDS), (descends, True), (equal, False)):
+        calls.clear()
+        assert op(v1, v2) == expected
+        assert calls == [(v1.entries, v2.entries)], op.__name__
+
+
 def test_compare_reflexive_equal():
     v = vc(("a", 1, 1), ("b", 2, 2))
     assert compare(v, v) is Ordering.EQUAL
@@ -377,6 +395,11 @@ def test_prune_bounds_is_an_immutable_value():
     for twin in (pickle.loads(pickle.dumps(bounds)), copy.deepcopy(bounds), copy.copy(bounds)):
         assert type(twin) is PruneBounds
         assert twin == bounds and repr(twin) == repr(bounds)
+    # a bool or an IntEnum bound is stored as its int, as in a VClock
+    bounds = PruneBounds(True, _Level.FIVE, False, _Level.ONE)
+    assert repr(bounds) == "PruneBounds(small=1, large=5, young=0, old=1)"
+    assert {type(x) for x in (bounds.small, bounds.large, bounds.young, bounds.old)} == {int}
+    assert bounds == PruneBounds(1, 5, 0, 1) and hash(bounds) == hash(PruneBounds(1, 5, 0, 1))
 
 
 _CLOCK = VClock([("a", 1, 0)])
@@ -751,6 +774,13 @@ def test_vclock_is_immutable_and_hashable():
     assert hash(v) == hash(vc(("a", 1, 1)))
     assert str(v) == "a:1:1"
     assert "a:1:1" in repr(v)
+    assert list(v) == list(v.entries)
+    assert v.__eq__(v.entries) is NotImplemented and v != v.entries
+    match v:
+        case VClock(entries):
+            assert entries is v.entries
+        case _:
+            pytest.fail("VClock did not match its class pattern")
 
 
 def test_vclock_refuses_attribute_deletion():
