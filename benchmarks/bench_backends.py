@@ -1,18 +1,12 @@
-"""Benchmark the vector-clock kernels.
+"""The kernel benchmark's seeded corpus and timing loop, which vcbench/kernelbench.py imports.
 
-Generates a seeded corpus of canonical entry tuples and times each kernel
-on it. Run after installing the package:
-
-    python benchmarks/bench_backends.py --pairs 2000 --rounds 5
+``python3 vcbench/run.py --trace 1`` reports ``kernels.pure.*.us_per_call`` from them.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
-
-from vclock import _kernels_py
 
 ACTORS = [chr(ord("a") + i) for i in range(8)]
 
@@ -44,19 +38,3 @@ def bench(kernel, corpus, rounds: int) -> dict[str, float]:
                 best = elapsed
         timings[name] = best / len(corpus) / 1000.0  # microseconds per call
     return timings
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pairs", type=int, default=2000)
-    parser.add_argument("--rounds", type=int, default=5)
-    args = parser.parse_args()
-
-    corpus = make_corpus(args.pairs)
-    for name, micros in bench(_kernels_py, corpus, args.rounds).items():
-        print(f"{name:20s} {micros:8.3f} us/call")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,9 +7,14 @@ deterministic replica simulator with a scenario script format.
 """
 
 from . import core
-from ._backend import backend_name
 from .core import *  # noqa: F403 -- the names in core.__all__
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the kernel backend in use: always 'pure'."""
+    return "pure"
+
 
 __all__ = [*core.__all__, "backend_name", "__version__"]

@@ -15,7 +15,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Iterator, Protocol
 
-from ._backend import kernels
+# core reads each kernel off the module when called, so patching it reaches every caller
+from . import _kernels_py as kernels
 from ._kernels_py import ClockEntry, _new_tuple
 
 __all__ = [
@@ -291,8 +292,8 @@ class FixedClock:
     """Always reports the same instant. Handy for tests and replays."""
 
     def __init__(self, value: int):
-        if value < 0:
-            raise ValueError("timestamp must be >= 0")
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"timestamp must be >= 0, got {value!r}")
         self._value = value
 
     def now(self) -> int:
@@ -303,8 +304,9 @@ class StepClock:
     """Logical time: starts at `start` and advances by `step` per call."""
 
     def __init__(self, start: int = 0, step: int = 1):
-        if start < 0 or step < 0:
-            raise ValueError("start and step must be >= 0")
+        for value in (start, step):
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"start and step must be >= 0, got {value!r}")
         self._next = start
         self._step = step
 

@@ -16,7 +16,7 @@ from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import core
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .core import _ORDERINGS, FixedClock, Ordering, PruneBounds, VClock, _Frozen
 
 __all__ = [
@@ -138,9 +138,10 @@ def build_history(
             core._require_actor(actor)
             valid_actors.add(actor)
         if received_from is not None:
-            if not 0 <= received_from < i:
+            is_id = isinstance(received_from, int) and not isinstance(received_from, bool)
+            if not (is_id and 0 <= received_from < i):
                 raise ValueError(
-                    f"event {i} receives from {received_from}, which is not an earlier event"
+                    f"event {i} receives from {received_from!r}, which is not an earlier event"
                 )
             if received_from < start:
                 sender = events[received_from].actor

@@ -9,7 +9,7 @@ the script alone.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import core
 from ._kernels_py import _new_tuple
@@ -364,32 +364,27 @@ def _rendered(siblings: list[Sibling]) -> tuple[str, ...]:
 
 
 class _Op(NamedTuple):
-    op: str  # Command.op
+    op: str  # Command.op, and the name of the _Run method that executes it
     usage: str  # the arity error
     kinds: tuple[str, ...]  # one per argument, checked left to right by _argument
-    handler: Callable[..., str]  # the _Run method that executes the command
     needs_bounds: bool = False
 
 
 # The scenario language, keyed by a command line's op words. The `replicas`
 # and `bounds` declarations are parsed on their own.
 _OPS = {
-    "update": _Op("update", "update takes replica key value",
-                  ("replica", "new key", "value"), _Run.update),
-    "sync": _Op("sync", "sync takes src dst key",
-                ("replica", "other replica", "known key"), _Run.sync),
-    "read": _Op("read", "read takes replica key", ("replica", "known key"), _Run.read),
-    "prune": _Op("prune", "prune takes replica key", ("replica", "known key"), _Run.prune,
-                 needs_bounds=True),
+    "update": _Op("update", "update takes replica key value", ("replica", "new key", "value")),
+    "sync": _Op("sync", "sync takes src dst key", ("replica", "other replica", "known key")),
+    "read": _Op("read", "read takes replica key", ("replica", "known key")),
+    "prune": _Op("prune", "prune takes replica key", ("replica", "known key"), needs_bounds=True),
     "expect siblings": _Op("expect_siblings", "expect siblings takes replica key n",
-                           ("replica", "known key", "sibling count"), _Run.expect_siblings),
+                           ("replica", "known key", "sibling count")),
     "expect clock": _Op("expect_clock", "expect clock takes replica key clock-text",
-                        ("replica", "known key", "clock text"), _Run.expect_clock),
+                        ("replica", "known key", "clock text")),
     "expect compare": _Op("expect_compare", "expect compare takes replica key i j ordering",
-                          ("replica", "known key", "sibling index", "sibling index", "ordering"),
-                          _Run.expect_compare),
+                          ("replica", "known key", "sibling index", "sibling index", "ordering")),
 }
-_HANDLERS = {spec.op: spec.handler for spec in _OPS.values()}
+_HANDLERS = {spec.op: getattr(_Run, spec.op) for spec in _OPS.values()}
 
 
 def run_scenario(scenario: Scenario, collapse: bool = True) -> RunReport:

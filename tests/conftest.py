@@ -4,9 +4,7 @@ import sys
 
 import pytest
 
-from vclock import _backend
-
-kernels = _backend.kernels
+from vclock import _kernels_py as kernels
 
 # a broken comparison kernel: between two snapshots of two entries each it
 # reports a happened-before pair as Concurrent and a concurrent pair as Descends

@@ -3,7 +3,7 @@
 import re
 from collections.abc import Iterable, Sequence
 
-from vclock import _backend
+from vclock import _kernels_py as kernels
 from vclock.codec import (
     ActorTokenError,
     CountRangeError,
@@ -162,13 +162,13 @@ def check_equivalence_reference(h, since=0) -> list[Violation]:
     violations = []
     for j in range(since, len(h.events)):
         for i in range(j):
-            code = _backend.kernels.compare_entries(clocks[i].entries, clocks[j].entries)
+            code = kernels.compare_entries(clocks[i].entries, clocks[j].entries)
             if i in past[j]:
-                if code == _backend.kernels.DOMINATED:
+                if code == kernels.DOMINATED:
                     continue
                 graph, mirror_graph = "hb", "inverse"
             else:
-                if code == _backend.kernels.CONCURRENT:
+                if code == kernels.CONCURRENT:
                     continue
                 graph = mirror_graph = "concurrent"
             violations.append(Violation(i, j, graph, _CODE_ORDERINGS[code]))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclock._backend import kernels
+from vclock import _kernels_py as kernels
 from vclock.core import (
     ClockEntry,
     EncodeError,
@@ -695,7 +695,8 @@ def test_importing_the_library_loads_no_dataclasses():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import vclock, vclock.codec, vclock.oracle, vclock.simulator, vclock.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'string'} & (set(sys.modules) - before)))\n"
+        "unwanted = {'dataclasses', 'inspect', 'string', 'vclock._backend'}\n"
+        "print(sorted(unwanted & (set(sys.modules) - before)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -907,6 +908,18 @@ def test_fixed_clock_validation():
     assert FixedClock(9).now() == 9
     with pytest.raises(ValueError):
         FixedClock(-1)
+
+
+@pytest.mark.parametrize("value", ["3", 1.5, None, -1])
+def test_clock_sources_refuse_a_non_int_or_negative_value_by_name(value):
+    # not later, in increment, and not with a bare TypeError from `<`
+    with pytest.raises(ValueError) as raised:
+        FixedClock(value)
+    assert str(raised.value) == f"timestamp must be >= 0, got {value!r}"
+    for args in ((value,), (0, value)):
+        with pytest.raises(ValueError) as raised:
+            StepClock(*args)
+        assert str(raised.value) == f"start and step must be >= 0, got {value!r}"
 
 
 def test_merge_does_not_consult_clock_source():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from vclock import _backend, core, oracle
+from vclock import _kernels_py, core, oracle
 from vclock.cli import main
 from vclock.core import InvalidActorError, Ordering, PruneBounds, VClock, equal, get_counter
 from vclock.oracle import (
@@ -142,6 +142,16 @@ def test_build_history_validates_receive_edges():
         build_history((("a", None), ("a", 0)))  # receive from own actor
     with pytest.raises(ValueError):
         build_history((("a", 0),))  # receive from the future
+
+
+@pytest.mark.parametrize("received_from", [True, False, 0.0, "0"])
+def test_build_history_refuses_a_received_from_that_is_not_an_int(received_from):
+    # a bool is not an event id either, as in happened_before and since=
+    with pytest.raises(ValueError) as raised:
+        build_history((("a", None), ("b", None), ("c", received_from)))
+    assert str(raised.value) == (
+        f"event 2 receives from {received_from!r}, which is not an earlier event"
+    )
 
 
 def test_build_history_validates_each_distinct_actor_once(monkeypatch):
@@ -356,14 +366,14 @@ def test_check_calls_the_kernel_once_per_checked_pair(case):
     entry_seqs = [ev.clock.entries for ev in h.events]
     index = {id(entries): k for k, entries in enumerate(entry_seqs)}
     assert len(index) == len(h)  # every snapshot's entries are a distinct object
-    compare_entries = _backend.kernels.compare_entries
+    compare_entries = _kernels_py.compare_entries
     calls = []
 
     def recording(a, b):
         calls.append((index[id(a)], index[id(b)]))
         return compare_entries(a, b)
 
-    with patch.object(_backend.kernels, "compare_entries", recording):
+    with patch.object(_kernels_py, "compare_entries", recording):
         check_equivalence(h, since=since)
     n = len(h)
     assert len(calls) == n * (n - 1) // 2 - since * (since - 1) // 2
