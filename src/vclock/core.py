@@ -294,7 +294,7 @@ class FixedClock:
     def __init__(self, value: int):
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"timestamp must be >= 0, got {value!r}")
-        self._value = value
+        self._value = int(value)
 
     def now(self) -> int:
         return self._value
@@ -307,8 +307,8 @@ class StepClock:
         for value in (start, step):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"start and step must be >= 0, got {value!r}")
-        self._next = start
-        self._step = step
+        self._next = int(start)
+        self._step = int(step)
 
     def now(self) -> int:
         value = self._next

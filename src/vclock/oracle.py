@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import repeat
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import core
 from . import _kernels_py as kernels
@@ -103,6 +104,8 @@ class Violation(NamedTuple):
 
 def actor_name(index: int) -> str:
     """Canonical actor name for an index >= 0: a, b, c, ... then a26, a27, ..."""
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ValueError(f"actor index must be an int, got {index!r}")
     if index < 0:
         raise ValueError(f"actor index must be >= 0, got {index}")
     if index < 26:
@@ -129,14 +132,15 @@ def build_history(
     and replayed. base's records are shared, not rebuilt. prune_at keys are
     event ids either way, so keys below len(base) have no effect.
     """
+    if prune_at is not None and not isinstance(prune_at, Mapping):
+        raise TypeError(
+            "prune_at must be a mapping of event ids to PruneBounds, "
+            f"got {type(prune_at).__name__}"
+        )
     events = list(base.events) if base is not None else []
     start = len(events)
-    valid_actors: set[str] = set()
     for i, (actor, received_from) in enumerate(steps, start):
-        # each distinct actor is validated once; a non-str may be unhashable
-        if not (isinstance(actor, str) and actor in valid_actors):
-            core._require_actor(actor)
-            valid_actors.add(actor)
+        core._require_actor(actor)
         if received_from is not None:
             is_id = isinstance(received_from, int) and not isinstance(received_from, bool)
             if not (is_id and 0 <= received_from < i):
@@ -271,6 +275,9 @@ def enumerate_histories(max_events: int, max_actors: int) -> Iterator[History]:
     are canonicalized by order of first appearance, which is the only
     isomorphism reduction applied. Deterministic order.
     """
+    for bound in (max_events, max_actors):
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise ValueError(f"bounds must be ints, got {bound!r}")
     if max_events > MAX_ENUM_EVENTS or max_actors > MAX_ENUM_ACTORS:
         raise EnumerationBudgetError(
             f"budget exceeded: at most {MAX_ENUM_EVENTS} events over "
@@ -316,20 +323,18 @@ def check_enumerated(
     bounds errors, raised eagerly. Each history is checked only against its
     new last event; the rest of its report is its parent's.
     """
-    histories = enumerate_histories(max_events, max_actors)
+    # reports[k] is the report of the last history checked with k events;
+    # depth-first, that is the parent of every history of k + 1 events
+    # until the next history of k events is checked
+    reports: list[list[Violation]] = [[]]
 
-    def walk() -> Iterator[tuple[History, list[Violation]]]:
-        # reports[k] is the report of the last history yielded with k events;
-        # depth-first, that is the parent of every history of k + 1 events
-        # until the next history of k events is yielded
-        reports: list[list[Violation]] = [[]]
-        for history in histories:
-            n = len(history)
-            report = reports[n - 1] + check_equivalence(history, since=n - 1)
-            reports[n:] = [report]
-            yield history, report.copy()
+    def checked(history: History) -> tuple[History, list[Violation]]:
+        n = len(history)
+        report = reports[n - 1] + check_equivalence(history, since=n - 1)
+        reports[n:] = [report]
+        return history, report.copy()
 
-    return walk()
+    return map(checked, enumerate_histories(max_events, max_actors))
 
 
 def random_history(seed: int, events: int, actors: int) -> History:
@@ -338,6 +343,9 @@ def random_history(seed: int, events: int, actors: int) -> History:
     Each event picks a uniform actor; when earlier events by other actors
     exist it receives from a uniform one of them with probability 1/2.
     """
+    for name, value in (("events", events), ("actors", actors)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if events < 0:
         raise ValueError("events must be >= 0")
     if actors < 1:

@@ -910,6 +910,14 @@ def test_fixed_clock_validation():
         FixedClock(-1)
 
 
+def test_clock_sources_return_exact_ints_for_bool_arguments():
+    fixed = FixedClock(True).now()
+    assert type(fixed) is int and fixed == 1
+    clock = StepClock(True, True)
+    values = [clock.now() for _ in range(2)]
+    assert values == [1, 2] and [type(v) for v in values] == [int, int]
+
+
 @pytest.mark.parametrize("value", ["3", 1.5, None, -1])
 def test_clock_sources_refuse_a_non_int_or_negative_value_by_name(value):
     # not later, in increment, and not with a bare TypeError from `<`

@@ -154,7 +154,7 @@ def test_build_history_refuses_a_received_from_that_is_not_an_int(received_from)
     )
 
 
-def test_build_history_validates_each_distinct_actor_once(monkeypatch):
+def test_build_history_validates_each_step_once(monkeypatch):
     steps = steps_of(random_history(3, 400, 8))
     calls = []
     is_valid_actor = core.is_valid_actor
@@ -165,9 +165,9 @@ def test_build_history_validates_each_distinct_actor_once(monkeypatch):
 
     monkeypatch.setattr(core, "is_valid_actor", counting)
     build_history(steps)
-    # build_history checks each of the 8 actors once; core.increment checks
-    # its actor on every one of the 400 events
-    assert len(calls) == 8 + 400
+    # build_history checks each of the 400 steps' actors before replaying,
+    # and core.increment checks its actor again on every one of the 400 events
+    assert len(calls) == 400 + 400
     assert sorted(set(calls)) == [actor_name(i) for i in range(8)]
 
 
@@ -250,6 +250,22 @@ def test_extension_validates_every_step_before_replaying_any():
     assert increment.call_count == 0
 
 
+def test_build_history_refuses_a_prune_at_that_is_not_a_mapping():
+    # a list's `in` tests its values, so [b, b, b] used to prune no event
+    bounds = PruneBounds(small=0, large=0, young=0, old=0)
+    steps = (("a", None), ("b", 0), ("a", 1))
+    h = build_history(steps)
+    message = "prune_at must be a mapping of event ids to PruneBounds, got list"
+    with patch.object(oracle.core, "increment", wraps=oracle.core.increment) as increment:
+        with pytest.raises(TypeError) as raised:
+            build_history(steps, [bounds] * 3)
+        assert str(raised.value) == message
+        with pytest.raises(TypeError) as raised:
+            replay_clocks(h, [bounds] * 3)
+        assert str(raised.value) == message
+    assert increment.call_count == 0
+
+
 # --- check_equivalence ---------------------------------------------------------
 
 
@@ -303,6 +319,17 @@ def test_check_enumerated_equals_the_full_check(fault, request):
     reported = sum(1 for _, report in checked if report)
     # the fault leaves some histories clean: 1,381 of the 1,913 report violations
     assert reported == (1381 if fault else 0)
+
+
+def test_check_enumerated_reports_do_not_share_a_list(faulty_compare):
+    # each history's report extends its parent's, so each yielded report must
+    # be its own copy: clearing one must leave every later one whole
+    reported = 0
+    for h, report in check_enumerated(4, 3):
+        assert report == check_equivalence(h)
+        reported += bool(report)
+        report.clear()
+    assert reported
 
 
 # prune bounds tight enough that pruned snapshots lose causality
@@ -492,6 +519,19 @@ def test_enumeration_budget_is_enforced_eagerly():
             walk(MAX_ENUM_EVENTS, MAX_ENUM_ACTORS + 1)
 
 
+@pytest.mark.parametrize(
+    ("bounds", "bad"),
+    [((2.5, 2), 2.5), ((2, 1.5), 1.5), (("2", 2), "2"), ((True, 2), True), ((2, False), False)],
+    ids=str,
+)
+def test_enumeration_refuses_a_bound_that_is_not_an_int(bounds, bad):
+    # 2.5 used to yield histories of 3 events, and True ran as 1
+    for walk in (enumerate_histories, check_enumerated):
+        with pytest.raises(ValueError) as raised:
+            walk(*bounds)
+        assert str(raised.value) == f"bounds must be ints, got {bad!r}"
+
+
 # --- random histories -------------------------------------------------------------
 
 
@@ -538,6 +578,23 @@ def test_random_history_validates_arguments():
         random_history(1, 5, 0)
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        ((0, 2.5, 2), "events must be an int, got 2.5"),
+        ((0, "3", 2), "events must be an int, got '3'"),
+        ((0, True, 2), "events must be an int, got True"),
+        ((0, 3, 2.5), "actors must be an int, got 2.5"),
+        ((0, 3, True), "actors must be an int, got True"),
+    ],
+    ids=str,
+)
+def test_random_history_refuses_a_non_int_by_name(args, message):
+    with pytest.raises(ValueError) as raised:
+        random_history(*args)
+    assert str(raised.value) == message
+
+
 def test_random_history_memory_follows_events_not_declared_actors():
     # only drawn actors get a name and a bookkeeping list, so a huge actor
     # count costs nothing until its actors are drawn
@@ -561,6 +618,10 @@ def test_actor_names_extend_beyond_the_alphabet():
     for index in (-1, -26, -27):
         with pytest.raises(ValueError, match=rf"^actor index must be >= 0, got {index}$"):
             actor_name(index)
+    for index in (True, 2.5, "1"):
+        with pytest.raises(ValueError) as raised:
+            actor_name(index)
+        assert str(raised.value) == f"actor index must be an int, got {index!r}"
 
 
 # --- simulator/oracle agreement helper ---------------------------------------------
