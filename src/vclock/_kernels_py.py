@@ -2,12 +2,15 @@
 
 An entry sequence is a tuple of (actor, count, timestamp) triples sorted by
 actor with no duplicate actors. These functions are the hot inner loops of
-clock comparison. :func:`compare_entries` is the one comparison loop:
-:func:`descends_entries` and :func:`equal_entries` read its code, calling it
-through this module's global, so a patched ``compare_entries`` sees every
-comparison. A clock's entries are :class:`ClockEntry` triples, and on
-such inputs :func:`merge_entries` returns only :class:`ClockEntry` triples,
-so a merged clock needs no conversion.
+clock comparison. :func:`compare_entries` is the one comparison kernel, a
+walk in two phases: phase 1 steps through both sequences while they are
+equal, and their first difference says which side is behind; phase 2 then
+looks only for the other direction, and returns ``CONCURRENT`` where it
+finds it. :func:`descends_entries` and :func:`equal_entries` read its code,
+calling it through this module's global, so a patched ``compare_entries``
+sees every comparison. A clock's entries are :class:`ClockEntry` triples,
+and on such inputs :func:`merge_entries` returns only :class:`ClockEntry`
+triples, so a merged clock needs no conversion.
 """
 
 from typing import NamedTuple
@@ -38,44 +41,71 @@ def compare_entries(a, b):
     Timestamps are ignored: the comparison is over per-actor counts, with an
     absent actor counting as zero.
     """
-    left_ge = True   # a >= b pointwise so far
-    right_ge = True  # b >= a pointwise so far
-    i = 0
-    j = 0
     na = len(a)
     nb = len(b)
+    i = 0
+    # phase 1: a and b are equal so far, so they share the index i
+    while True:
+        if i == na:
+            return EQUAL if i == nb else DOMINATED
+        if i == nb:
+            return DESCENDS
+        ea = a[i]
+        eb = b[i]
+        actor_a = ea[0]
+        actor_b = eb[0]
+        if actor_a == actor_b:
+            ca = ea[1]
+            cb = eb[1]
+            i += 1
+            if ca != cb:
+                a_behind = ca < cb
+                j = i
+                break
+        elif actor_a < actor_b:
+            # actor present only in a; counts are >= 1 so b misses it
+            a_behind = False
+            j = i
+            i += 1
+            break
+        else:
+            a_behind = True
+            j = i + 1
+            break
+    # phase 2: one side is behind; only the other direction is still open
+    if a_behind:
+        # DOMINATED unless a exceeds b somewhere
+        while i < na and j < nb:
+            ea = a[i]
+            eb = b[j]
+            actor_a = ea[0]
+            actor_b = eb[0]
+            if actor_a == actor_b:
+                if ea[1] > eb[1]:
+                    return CONCURRENT
+                i += 1
+                j += 1
+            elif actor_a < actor_b:
+                return CONCURRENT
+            else:
+                j += 1
+        return CONCURRENT if i < na else DOMINATED
+    # DESCENDS unless b exceeds a somewhere
     while i < na and j < nb:
         ea = a[i]
         eb = b[j]
         actor_a = ea[0]
         actor_b = eb[0]
         if actor_a == actor_b:
-            ca = ea[1]
-            cb = eb[1]
-            if ca < cb:
-                left_ge = False
-            elif cb < ca:
-                right_ge = False
+            if ea[1] < eb[1]:
+                return CONCURRENT
             i += 1
             j += 1
         elif actor_a < actor_b:
-            # actor present only in a; counts are >= 1 so b misses it
-            right_ge = False
             i += 1
         else:
-            left_ge = False
-            j += 1
-        if not left_ge and not right_ge:
             return CONCURRENT
-    if i < na:
-        right_ge = False
-    if j < nb:
-        left_ge = False
-    if left_ge:
-        return EQUAL if right_ge else DESCENDS
-    if right_ge:
-        return DOMINATED
-    return CONCURRENT
+    return CONCURRENT if j < nb else DESCENDS
 
 
 def descends_entries(a, b):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import repeat
 from typing import NamedTuple
 
@@ -114,7 +114,7 @@ def actor_name(index: int) -> str:
 
 
 def build_history(
-    steps: Sequence[tuple[str, int | None]],
+    steps: Iterable[tuple[str, int | None]],
     prune_at: Mapping[int, PruneBounds] | None = None,
     *,
     base: History | None = None,
@@ -125,7 +125,8 @@ def build_history(
     Snapshots are replayed through core merge + increment with logical
     time = event index; prune_at maps event ids to bounds applied to that
     event's snapshot right after it is taken, for studying the causality
-    loss pruning introduces. The pruned snapshots are stored.
+    loss pruning introduces. The pruned snapshots are stored. steps may be
+    any iterable; it is read once.
 
     With base, the steps extend base's events: ids continue after them, a
     step may receive from any of them, and only the new steps are validated
@@ -137,6 +138,9 @@ def build_history(
             "prune_at must be a mapping of event ids to PruneBounds, "
             f"got {type(prune_at).__name__}"
         )
+    # read once: validation and replay both walk the steps, and a tuple
+    # argument passes through as itself
+    steps = tuple(steps)
     events = list(base.events) if base is not None else []
     start = len(events)
     for i, (actor, received_from) in enumerate(steps, start):

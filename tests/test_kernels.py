@@ -1,5 +1,7 @@
 """Kernel tests: the pure-Python kernels against a dict-based reference."""
 
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +59,64 @@ def test_kernels_agree_with_the_reference(a, b):
     for name, expected in want.items():
         assert getattr(_kernels_py, name)(a, b) == expected, name
     assert all(type(e) is ClockEntry for e in _kernels_py.merge_entries(a, b))
+
+
+# b derived from a: some counts raised, some entries dropped, some actors
+# added, so that Equal, Descends and Dominated are as common as Concurrent
+@st.composite
+def _related_pairs(draw):
+    a = draw(_entries)
+    db = {}
+    for actor, count, timestamp in a:
+        change = draw(st.sampled_from(("keep", "raise", "drop")))
+        if change == "raise":
+            db[actor] = (count + draw(st.integers(1, 3)), timestamp)
+        elif change == "keep":
+            db[actor] = (count, timestamp)
+    added = draw(st.dictionaries(_actors, st.tuples(_counts, _timestamps), max_size=2))
+    for actor, value in added.items():
+        db.setdefault(actor, value)
+    return a, tuple(ClockEntry(x, c, t) for x, (c, t) in sorted(db.items()))
+
+
+_MIRROR = {
+    _kernels_py.EQUAL: _kernels_py.EQUAL,
+    _kernels_py.DESCENDS: _kernels_py.DOMINATED,
+    _kernels_py.DOMINATED: _kernels_py.DESCENDS,
+    _kernels_py.CONCURRENT: _kernels_py.CONCURRENT,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_related_pairs())
+def test_kernels_agree_with_the_reference_on_related_pairs(pair):
+    a, b = pair
+    for x, y in (pair, (b, a)):
+        want = reference(x, y)
+        for name, expected in want.items():
+            assert getattr(_kernels_py, name)(x, y) == expected, name
+    assert _kernels_py.compare_entries(b, a) == _MIRROR[_kernels_py.compare_entries(a, b)]
+
+
+def test_comparison_kernels_agree_with_the_reference_on_every_small_pair():
+    # every canonical sequence over actors a-d with each count absent, 1 or 2:
+    # 81 sequences, 6,561 ordered pairs, which reach every exit of both of
+    # compare_entries' phases
+    sequences = [
+        tuple(ClockEntry(actor, count, 3 - count) for actor, count in zip("abcd", counts) if count)
+        for counts in product((0, 1, 2), repeat=4)
+    ]
+    assert len(sequences) == 81
+    seen = set()
+    for a in sequences:
+        for b in sequences:
+            want = reference(a, b)
+            code = _kernels_py.compare_entries(a, b)
+            assert code == want["compare_entries"], (a, b)
+            assert _kernels_py.descends_entries(a, b) == want["descends_entries"], (a, b)
+            assert _kernels_py.equal_entries(a, b) == want["equal_entries"], (a, b)
+            seen.add(code)
+    assert seen == set(_MIRROR)
 
 
 def test_edge_cases():

@@ -171,6 +171,14 @@ def test_build_history_validates_each_step_once(monkeypatch):
     assert sorted(set(calls)) == [actor_name(i) for i in range(8)]
 
 
+def test_build_history_reads_its_steps_once():
+    steps = [("a", None), ("b", 0), ("a", None), ("c", 1)]
+    want = build_history(steps)
+    assert len(want) == 4
+    assert build_history(step for step in steps) == want
+    assert build_history(iter(steps)) == want
+
+
 # --- extending a base history ---------------------------------------------------
 
 
