@@ -143,24 +143,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rendered: list[str] = []
     checked = 0
     try:
+        # each mode gives (history, violations) pairs, and a note that heads
+        # a violating history's lines, made from its index and the history
         if args.exhaustive is not None:
-            max_events, max_actors = args.exhaustive
-            for history, violations in oracle.check_enumerated(max_events, max_actors):
-                if violations:
-                    print(f"# history #{checked} over {history.actors}", file=sys.stderr)
-                    rendered.extend(v.render() for v in violations)
-                checked += 1
+            checks = oracle.check_enumerated(*args.exhaustive)
+            note = "# history #{} over {.actors}".format
         else:
             seeds, events, actors = args.random
             if seeds < 1:
                 raise _UsageError("need at least one seed")
-            for seed in range(seeds):
-                history = oracle.random_history(seed, events, actors)
-                violations = oracle.check_equivalence(history)
-                if violations:
-                    print(f"# seed {seed}", file=sys.stderr)
-                    rendered.extend(v.render() for v in violations)
-                checked += 1
+            histories = (oracle.random_history(seed, events, actors) for seed in range(seeds))
+            checks = ((history, oracle.check_equivalence(history)) for history in histories)
+            note = "# seed {}".format  # the index is the seed
+        for history, violations in checks:
+            if violations:
+                print(note(checked, history), file=sys.stderr)
+                rendered.extend(v.render() for v in violations)
+            checked += 1
     except ValueError as exc:  # includes oracle.EnumerationBudgetError
         raise _UsageError(exc) from exc
     for line in sorted(rendered):

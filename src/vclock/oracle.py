@@ -46,9 +46,9 @@ _DOMINATED = kernels.DOMINATED
 _GRAPH_CODES = bytes.maketrans(b"01", bytes((kernels.CONCURRENT, _DOMINATED)))
 _MIRROR = (Ordering.EQUAL, Ordering.DOMINATED, Ordering.DESCENDS, Ordering.CONCURRENT)
 _NO_PREDECESSORS: frozenset[int] = frozenset()
-# build_history makes its records as core._wrap makes a VClock: without
-# calling __init__, one attribute store per field
-_new = object.__new__
+# EventRecord and History spell out one store per field, in __match_args__
+# order so instance dicts share their keys, rather than go through
+# _set_fields: build_history makes one of each per replayed event
 _setattr = object.__setattr__
 
 
@@ -75,7 +75,11 @@ class EventRecord(_Frozen):
         predecessors: frozenset[int],
         clock: VClock,
     ):
-        self._set_fields(id, actor, received_from, predecessors, clock)
+        _setattr(self, "id", id)
+        _setattr(self, "actor", actor)
+        _setattr(self, "received_from", received_from)
+        _setattr(self, "predecessors", predecessors)
+        _setattr(self, "clock", clock)
 
 
 class History(_Frozen):
@@ -84,7 +88,8 @@ class History(_Frozen):
     __match_args__ = ("events", "actors")
 
     def __init__(self, events: tuple[EventRecord, ...], actors: tuple[str, ...]):
-        self._set_fields(events, actors)
+        _setattr(self, "events", events)
+        _setattr(self, "actors", actors)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -175,20 +180,9 @@ def build_history(
             preds = frozenset((prev,))
         else:
             preds = frozenset((prev, received_from))
-        # the fields in __init__'s order, so the instance dict shares its
-        # keys with every other record's
-        record = _new(EventRecord)
-        _setattr(record, "id", i)
-        _setattr(record, "actor", actor)
-        _setattr(record, "received_from", received_from)
-        _setattr(record, "predecessors", preds)
-        _setattr(record, "clock", snap)
-        events.append(record)
+        events.append(EventRecord(i, actor, received_from, preds, snap))
         last_by_actor[actor] = i
-    history = _new(History)
-    _setattr(history, "events", tuple(events))
-    _setattr(history, "actors", tuple(last_by_actor))
-    return history
+    return History(tuple(events), tuple(last_by_actor))
 
 
 def replay_clocks(
@@ -346,8 +340,9 @@ def random_history(seed: int, events: int, actors: int) -> History:
 
     Each event picks a uniform actor; when earlier events by other actors
     exist it receives from a uniform one of them with probability 1/2.
+    seed, events and actors must be ints; a bool is refused.
     """
-    for name, value in (("events", events), ("actors", actors)):
+    for name, value in (("seed", seed), ("events", events), ("actors", actors)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if events < 0:

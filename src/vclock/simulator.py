@@ -148,8 +148,10 @@ def _argument(kind: str, token: str, line_no: int, replicas: dict, keys: dict, l
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario script.
 
-    Lines are whitespace-tokenized; blank lines and lines starting with '#'
-    are skipped. Replicas must be declared before use; keys must be
+    A line ends only at "\\n", "\\r\\n" or "\\r", as in a file read as text; other
+    line breaks such as form feed or U+2028 are blanks inside a line. Lines
+    are whitespace-tokenized; blank lines and lines starting with '#' are
+    skipped. Replicas must be declared before use; keys must be
     introduced by an earlier update before other commands may reference
     them; prune requires a bounds declaration. Any violation raises
     ScenarioError with the line number. A command line is checked against its
@@ -165,7 +167,7 @@ def parse_scenario(text: str) -> Scenario:
     keys: dict[str, str] = {}  # each key -> the str of its first update
     commands: list[Command] = []
     parsed: dict[str, Command] = {}  # each command line -> its first Command
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

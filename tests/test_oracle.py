@@ -589,6 +589,11 @@ def test_random_history_validates_arguments():
 @pytest.mark.parametrize(
     ("args", "message"),
     [
+        ((None, 12, 3), "seed must be an int, got None"),
+        (([1], 5, 2), "seed must be an int, got [1]"),
+        ((True, 5, 2), "seed must be an int, got True"),
+        ((1.0, 5, 2), "seed must be an int, got 1.0"),
+        (("0", 5, 2), "seed must be an int, got '0'"),
         ((0, 2.5, 2), "events must be an int, got 2.5"),
         ((0, "3", 2), "events must be an int, got '3'"),
         ((0, True, 2), "events must be an int, got True"),

@@ -146,6 +146,21 @@ def test_error_messages_carry_line_numbers():
         parse_scenario("replicas r1\nupdate r1 k v\nread r9 k\n")
 
 
+def test_comment_holding_a_form_feed_is_skipped_whole():
+    # str.splitlines() would end the comment at the form feed and run "page"
+    scenario = parse_scenario("replicas r1\n# note\x0c page\nupdate r1 k v\n")
+    assert [(c.line_no, c.op) for c in scenario.commands] == [(3, "update")]
+
+
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x85", "\u2028"], ids=ascii)
+def test_only_newlines_end_a_line(blank):
+    # the character is a blank inside line 2, so the bad read is still line 3
+    text = f"replicas r1\nupdate r1 k v{blank}\nread r1 q\n"
+    with pytest.raises(ScenarioError) as raised:
+        parse_scenario(text)
+    assert str(raised.value) == "line 3: key 'q' is never written before this line"
+
+
 OVERLONG = "1" * 4301
 WRITTEN = "replicas r1 r2\nupdate r1 k v\n"
 
@@ -782,14 +797,27 @@ def test_sibling_order_is_canonical_in_reports():
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SHIPPED_SCENARIOS = [
+    "causal_overwrite", "concurrent_write", "prune_false_concurrency", "prune_lost_write"
+]
 
 
 @pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "no-collapse"])
-@pytest.mark.parametrize(
-    "name", ["causal_overwrite", "concurrent_write", "prune_false_concurrency", "prune_lost_write"]
-)
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
 def test_shipped_scenario_reports_match_golden(name, collapse):
     suffix = "" if collapse else ".no-collapse"
     golden = (GOLDEN_DIR / f"{name}{suffix}.txt").read_text(encoding="utf-8")
     scenario = load_scenario(str(SCENARIO_DIR / f"{name}.txt"))
     assert run_scenario(scenario, collapse=collapse).text == golden
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+def test_shipped_scenarios_read_the_same_with_crlf_and_cr_endings(name, ending, tmp_path):
+    data = (SCENARIO_DIR / f"{name}.txt").read_bytes()
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(data.replace(b"\n", ending.encode()))
+    scenario = load_scenario(str(path))
+    for collapse, suffix in ((True, ""), (False, ".no-collapse")):
+        golden = (GOLDEN_DIR / f"{name}{suffix}.txt").read_text(encoding="utf-8")
+        assert run_scenario(scenario, collapse=collapse).text == golden
