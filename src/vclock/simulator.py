@@ -154,14 +154,17 @@ def parse_scenario(text: str) -> Scenario:
     skipped. Replicas must be declared before use; keys must be
     introduced by an earlier update before other commands may reference
     them; prune requires a bounds declaration. Any violation raises
-    ScenarioError with the line number. A command line is checked against its
-    _OPS entry: arity, then each argument's kind left to right, then bounds.
+    ScenarioError with the line number; text that is not a str is a
+    TypeError. A command line is checked against its _OPS entry: arity, then
+    each argument's kind left to right, then bounds.
 
     A command line that repeats an earlier one (after stripping) is not
     checked again: its Command reuses the first one's op and args. Nothing
     later can undo a check that passed, since replicas and bounds are
     declared once, keys are only added, and neither declaration is reused.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"scenario text must be str, got {type(text).__name__}")
     replicas: dict[str, str] = {}  # each declared name -> itself, shared by every command
     bounds: PruneBounds | None = None
     keys: dict[str, str] = {}  # each key -> the str of its first update
@@ -222,14 +225,18 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and parse a scenario file; text that is not UTF-8 is a ScenarioError."""
+    """Read and parse a scenario file; text that is not UTF-8 is a ScenarioError.
+
+    One leading UTF-8 byte-order mark is skipped. It is dropped after decoding,
+    so an error's byte offset counts it, as the file's own offsets do.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
-    return parse_scenario(text)
+    return parse_scenario(text.removeprefix("\ufeff"))
 
 
 def _sibling_key(sibling: Sibling) -> tuple[str, str]:

@@ -1,10 +1,15 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the import path of the dict reference."""
 
 import sys
+from pathlib import Path
 
 import pytest
 
 from vclock import _kernels_py as kernels
+
+# vcbench/reference.py, the dict-based clock rules that the benchmark also
+# checks against, imports as `reference`; it imports nothing from vclock
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "vcbench"))
 
 # a broken comparison kernel: between two snapshots of two entries each it
 # reports a happened-before pair as Concurrent and a concurrent pair as Descends

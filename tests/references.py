@@ -1,7 +1,15 @@
-"""Test oracles written independently of the library code they check."""
+"""Test oracles written independently of the library code they check.
 
+The compare, merge and prune rules are vcbench/reference.py's, on sys.path
+through conftest.py; their adapters here only convert the library's types.
+"""
+
+import random
 import re
 from collections.abc import Iterable, Sequence
+
+import reference
+from reference import dict_to_entries, entries_to_dict
 
 from vclock import _kernels_py as kernels
 from vclock.codec import (
@@ -23,26 +31,33 @@ def outcome(build, arg):
         return type(exc), str(exc)
 
 
-def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
-    """Rule-literal pruning, written independently of core.prune.
-
-    Re-finds the oldest entry from scratch on every round and re-tests the
-    full removal condition, so it shares no code path with the core
-    implementation. Used to cross-check core.prune.
-    """
-    entries = list(clock.entries)
-    while len(entries) > bounds.small:
-        oldest = min(entries, key=lambda e: (e.timestamp, e.actor))
-        size = len(entries)
-        removable = (
-            size > bounds.small
-            and (size > bounds.large or oldest.timestamp < now - bounds.old)
-            and oldest.timestamp < now - bounds.young
-        )
-        if not removable:
-            break
-        entries.remove(oldest)
+def random_clock(rng: random.Random, max_count: int, max_timestamp: int) -> VClock:
+    """A clock holding each of the actors a-h with probability one half."""
+    entries = []
+    for actor in "abcdefgh":
+        if rng.random() < 0.5:
+            entries.append((actor, rng.randint(1, max_count), rng.randint(0, max_timestamp)))
     return VClock(entries)
+
+
+def kernel_reference(a: tuple, b: tuple) -> dict:
+    """Expected result of every kernel on the canonical entry tuples a and b."""
+    da, db = entries_to_dict(a), entries_to_dict(b)
+    ordering = reference.compare(da, db)
+    return {
+        "compare_entries": _CODE_ORDERINGS.index(Ordering(ordering)),
+        "descends_entries": reference.covers(da, db),
+        "equal_entries": ordering == "Equal",
+        "merge_entries": dict_to_entries(reference.merge(da, db)),
+    }
+
+
+def prune_reference(clock: VClock, now: int, bounds: PruneBounds) -> VClock:
+    """core.prune by the dict reference's rule-literal loop."""
+    pruned = reference.prune(
+        entries_to_dict(clock.entries), now, bounds.small, bounds.large, bounds.young, bounds.old
+    )
+    return VClock(dict_to_entries(pruned))
 
 
 def vclock_entries_reference(entries) -> tuple[ClockEntry, ...]:

@@ -30,7 +30,7 @@ from vclock.core import (
 from vclock.oracle import build_history, check_equivalence, enumerate_histories, random_history
 from vclock.simulator import load_scenario, run_scenario
 
-from references import prune_reference
+from references import prune_reference, random_clock
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -60,14 +60,6 @@ class _criterion:
         status = "PASS" if exc_type is None else "FAIL"
         print(f"ACCEPTANCE {status}: {self.name}")
         return False
-
-
-def _random_clock(rng: random.Random, actors: str = "abcdefgh") -> VClock:
-    entries = []
-    for actor in actors:
-        if rng.random() < 0.5:
-            entries.append((actor, rng.randint(1, 6), rng.randint(0, 60)))
-    return VClock(entries)
 
 
 def test_api_parity():
@@ -115,9 +107,9 @@ def test_partial_order_law_suite():
         rng = random.Random(20_240_601)
         started = time.perf_counter()
         for _ in range(LAW_SUITE_CASES):
-            a = _random_clock(rng)
-            b = _random_clock(rng)
-            c = _random_clock(rng)
+            a = random_clock(rng, 6, 60)
+            b = random_clock(rng, 6, 60)
+            c = random_clock(rng, 6, 60)
 
             # reflexivity
             assert descends(a, a)

@@ -1,6 +1,9 @@
-"""Kernel tests: the pure-Python kernels against a dict-based reference."""
+"""Kernel tests: the pure-Python kernels against the benchmark's dict reference."""
 
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,37 +13,7 @@ from vclock import _backend, _kernels_py
 from vclock._kernels_py import ClockEntry
 from vclock.core import VClock, merge
 
-# --- reference over plain dicts, sharing no code with the kernels ----------
-
-
-def reference(a: tuple, b: tuple) -> dict:
-    """Expected result of every kernel on the canonical entry tuples a and b."""
-    da = {actor: (count, timestamp) for actor, count, timestamp in a}
-    db = {actor: (count, timestamp) for actor, count, timestamp in b}
-    ge = all(da.get(actor, (0, 0))[0] >= count for actor, (count, _) in db.items())
-    le = all(db.get(actor, (0, 0))[0] >= count for actor, (count, _) in da.items())
-    merged = dict(da)
-    for actor, (count, timestamp) in db.items():
-        if actor in merged:
-            c, t = merged[actor]
-            merged[actor] = (max(c, count), max(t, timestamp))
-        else:
-            merged[actor] = (count, timestamp)
-    if ge and le:
-        code = _kernels_py.EQUAL
-    elif ge:
-        code = _kernels_py.DESCENDS
-    elif le:
-        code = _kernels_py.DOMINATED
-    else:
-        code = _kernels_py.CONCURRENT
-    return {
-        "compare_entries": code,
-        "descends_entries": ge,
-        "equal_entries": ge and le,
-        "merge_entries": tuple((x, c, t) for x, (c, t) in sorted(merged.items())),
-    }
-
+from references import kernel_reference
 
 # a few shared actors, so that both sides often hold the same one, plus any text
 _actors = st.sampled_from(["a", "b", "é", "ß", "日本", "\U0001f600"]) | st.text(min_size=1, max_size=3)
@@ -55,7 +28,7 @@ _entries = st.dictionaries(_actors, st.tuples(_counts, _timestamps), max_size=8)
 @settings(max_examples=300, deadline=None)
 @given(_entries, _entries)
 def test_kernels_agree_with_the_reference(a, b):
-    want = reference(a, b)
+    want = kernel_reference(a, b)
     for name, expected in want.items():
         assert getattr(_kernels_py, name)(a, b) == expected, name
     assert all(type(e) is ClockEntry for e in _kernels_py.merge_entries(a, b))
@@ -92,7 +65,7 @@ _MIRROR = {
 def test_kernels_agree_with_the_reference_on_related_pairs(pair):
     a, b = pair
     for x, y in (pair, (b, a)):
-        want = reference(x, y)
+        want = kernel_reference(x, y)
         for name, expected in want.items():
             assert getattr(_kernels_py, name)(x, y) == expected, name
     assert _kernels_py.compare_entries(b, a) == _MIRROR[_kernels_py.compare_entries(a, b)]
@@ -110,13 +83,29 @@ def test_comparison_kernels_agree_with_the_reference_on_every_small_pair():
     seen = set()
     for a in sequences:
         for b in sequences:
-            want = reference(a, b)
+            want = kernel_reference(a, b)
             code = _kernels_py.compare_entries(a, b)
             assert code == want["compare_entries"], (a, b)
             assert _kernels_py.descends_entries(a, b) == want["descends_entries"], (a, b)
             assert _kernels_py.equal_entries(a, b) == want["equal_entries"], (a, b)
             seen.add(code)
     assert seen == set(_MIRROR)
+
+
+def test_the_dict_reference_imports_nothing_from_vclock():
+    # the judge shares no code with what it judges, even where vclock is importable
+    vcbench = Path(__file__).resolve().parent.parent / "vcbench"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(vcbench)!r})\n"
+        "import reference\n"
+        "print(reference.__file__)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'vclock'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == f"{vcbench / 'reference.py'}\n[]\n"
 
 
 def test_edge_cases():

@@ -1,5 +1,6 @@
 """Simulator tests: scenario parsing, replica semantics, determinism."""
 
+import codecs
 import hashlib
 import random
 from pathlib import Path
@@ -31,6 +32,7 @@ from vclock.simulator import (
     siblings_pairwise_concurrent,
 )
 
+import reference
 from references import prune_reference
 
 
@@ -226,6 +228,8 @@ def test_numeric_token_over_a_lowered_int_limit_is_named(int_digit_limit):
         (WRITTEN + "expect frob r1 k\n", "line 3: unknown expect kind 'frob'"),
         (WRITTEN + "frobnicate r1\n", "line 3: unknown command 'frobnicate'"),
         (WRITTEN + "expect_siblings r1 k 1\n", "line 3: unknown command 'expect_siblings'"),
+        # parse_scenario takes U+FEFF as text; only load_scenario skips a file's mark
+        ("\ufeffreplicas r1\n", "line 1: unknown command '\\ufeffreplicas'"),
         # which fault wins when a line has several
         ("replicas r1\nsync r1 r1 k\n", "line 2: sync source and destination are the same"),
         ("replicas r1\nsync r9 r9 k\n", "line 2: unknown replica 'r9'"),
@@ -268,6 +272,15 @@ def test_parse_error_messages(script, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(script)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", [b"replicas r1\n", None, ["replicas r1"]], ids=["bytes", "None", "list"]
+)
+def test_parse_scenario_refuses_a_non_str(text):
+    with pytest.raises(TypeError) as info:
+        parse_scenario(text)
+    assert str(info.value) == f"scenario text must be str, got {type(text).__name__}"
 
 
 _GRAMMAR_WORDS = (
@@ -678,6 +691,45 @@ def test_prune_reference_matches_core_on_random_cases():
 # --- whole-run properties ----------------------------------------------------------
 
 
+@st.composite
+def _simulated_scripts(draw):
+    """A script of update, sync, read and prune under drawn bounds, as vcbench/gen.py writes.
+
+    sync, read and prune name only a key the replica holds (it wrote it or
+    received it by sync): reference.simulate raises KeyError on a prune of any
+    other key, where run_scenario reports a FAIL line.
+    """
+    names = [f"r{i}" for i in range(draw(st.integers(2, 3), label="replicas"))]
+    keys = ["k0", "k1"][: draw(st.integers(1, 2), label="keys")]
+    small, young = draw(st.integers(0, 3)), draw(st.integers(0, 30))
+    large, old = small + draw(st.integers(0, 3)), young + draw(st.integers(0, 30))
+    lines = [f"replicas {' '.join(names)}", f"bounds {small} {large} {young} {old}"]
+    held: dict[str, list[str]] = {name: [] for name in names}
+    for n in range(draw(st.integers(0, 60), label="commands")):
+        replica = draw(st.sampled_from(names))
+        op = draw(st.sampled_from(("update", "sync", "read", "prune")))
+        if op == "update" or not held[replica]:
+            key = draw(st.sampled_from(keys))
+            lines.append(f"update {replica} {key} v{n}")
+            holder = replica
+        elif op == "sync":
+            key = draw(st.sampled_from(held[replica]))
+            holder = draw(st.sampled_from([r for r in names if r != replica]))
+            lines.append(f"sync {replica} {holder} {key}")
+        else:
+            lines.append(f"{op} {replica} {draw(st.sampled_from(held[replica]))}")
+            continue
+        if key not in held[holder]:
+            held[holder].append(key)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_simulated_scripts())
+def test_whole_runs_match_the_dict_simulator(script):
+    assert run_text(script).stores == reference.simulate(script)
+
+
 def test_report_is_deterministic():
     text = (
         "replicas r1 r2 r3\n"
@@ -821,3 +873,21 @@ def test_shipped_scenarios_read_the_same_with_crlf_and_cr_endings(name, ending, 
     for collapse, suffix in ((True, ""), (False, ".no-collapse")):
         golden = (GOLDEN_DIR / f"{name}{suffix}.txt").read_text(encoding="utf-8")
         assert run_scenario(scenario, collapse=collapse).text == golden
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+def test_shipped_scenarios_read_the_same_after_a_byte_order_mark(name, tmp_path):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(codecs.BOM_UTF8 + (SCENARIO_DIR / f"{name}.txt").read_bytes())
+    scenario = load_scenario(str(path))
+    for collapse, suffix in ((True, ""), (False, ".no-collapse")):
+        golden = (GOLDEN_DIR / f"{name}{suffix}.txt").read_text(encoding="utf-8")
+        assert run_scenario(scenario, collapse=collapse).text == golden
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_at_its_file_offset(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"replicas r1\nupdate r1 k \xff\n")
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(str(path))
+    assert str(info.value) == "not UTF-8 at byte offset 27: invalid start byte"
