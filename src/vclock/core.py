@@ -77,17 +77,46 @@ class Ordering(Enum):
 _ORDERINGS = (Ordering.EQUAL, Ordering.DESCENDS, Ordering.DOMINATED, Ordering.CONCURRENT)
 
 
+# is_valid_actor's memo: exact-str tokens it has accepted. Bounded by these
+# constants: a longer token is never remembered, and a token that takes the
+# set past _ACCEPTED_MAX empties it.
+_ACCEPTED_MAX = 1024
+_ACCEPTED_MAX_LEN = 64
+_accepted: set[str] = set()
+
+
 def is_valid_actor(token: str) -> bool:
-    """Check the actor lexical rule: non-empty, printable, no whitespace/':'/';'."""
+    """Check the actor lexical rule: non-empty, printable, no whitespace/':'/';'.
+
+    Actors repeat (a cluster's few replica ids), so accepted tokens are
+    remembered: a token whose type is exactly str and that was accepted
+    before costs one set lookup. A str subclass, a non-str, or an unseen or
+    rejected token takes the full rule, and only an accepted exact str joins
+    the memo. The memo holds at most _ACCEPTED_MAX tokens of at most
+    _ACCEPTED_MAX_LEN characters, and is cleared when full. Every answer is
+    as without the memo, and callers still call through this module global,
+    so a wrapper installed there counts the same calls.
+    """
+    exact = type(token) is str
+    if exact and token in _accepted:
+        return True
     # ' ' is the one whitespace character that str.isprintable() accepts
-    return (
+    if not (
         isinstance(token, str)
         and token.isprintable()
         and token != ""
         and " " not in token
         and ":" not in token
         and ";" not in token
-    )
+    ):
+        return False
+    if exact and len(token) <= _ACCEPTED_MAX_LEN:
+        _accepted.add(token)
+        # tested after the add, so that the bound holds whenever no call is
+        # in progress, even when threads add at once
+        if len(_accepted) > _ACCEPTED_MAX:
+            _accepted.clear()
+    return True
 
 
 _actor_of = itemgetter(0)

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 import types
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vclock import _kernels_py as kernels
+from vclock import core
 from vclock.core import (
     ClockEntry,
     EncodeError,
@@ -133,6 +135,91 @@ def test_is_valid_actor_rejects_every_whitespace_character():
     for ch in _WHITESPACE:
         for token in (ch, "a" + ch, ch + "a", "a" + ch + "b"):
             assert is_valid_actor(token) is actor_rule(token) is False
+
+
+class _Impostor(str):
+    """A str subclass that equals, and hashes as, the valid token "a"."""
+
+    def __eq__(self, other):
+        return other == "a"
+
+    def __hash__(self):
+        return hash("a")
+
+
+def _fresh(token):
+    """An equal str in a new object, as split() makes one; any other token as it is."""
+    return (token + ".")[:-1] if type(token) is str else token
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["a", "b", "node-1", " a", "a:b", "b;", "", "\t", "é"])
+        | st.text(max_size=4)
+        | st.text("xy", min_size=62, max_size=66)  # around the memo's length bound
+        | st.builds(_Impostor, st.sampled_from(["a", " a", "b;"]))
+        | st.sampled_from([None, b"a", 1, ("a",), ["a"]]),
+        max_size=20,
+    )
+)
+def test_is_valid_actor_answers_alike_when_a_token_is_checked_again(tokens):
+    # each token is checked twice, the second time in a fresh object, with
+    # the other tokens checked in between
+    for token in [*tokens, *map(_fresh, tokens)]:
+        assert is_valid_actor(token) is actor_rule(token)
+
+
+def test_is_valid_actor_refuses_a_str_subclass_that_matches_a_remembered_token():
+    assert is_valid_actor("a") is True
+    assert "a" in core._accepted
+    impostor = _Impostor(" a")
+    assert impostor == "a" and hash(impostor) == hash("a")
+    assert is_valid_actor(impostor) is actor_rule(impostor) is False
+    # a valid subclass is accepted by the full rule, and never remembered
+    assert is_valid_actor(_Impostor("b")) is True
+    assert all(type(token) is str for token in core._accepted)
+
+
+def test_is_valid_actor_memo_stays_within_its_bounds():
+    tokens = [f"t{i}" for i in range(core._ACCEPTED_MAX + 100)]
+    for _ in range(2):
+        for token in tokens:
+            assert is_valid_actor(_fresh(token)) is True
+            assert is_valid_actor(token + " ") is False
+            assert len(core._accepted) <= core._ACCEPTED_MAX
+    assert " " not in "".join(core._accepted)
+    longest = "y" * core._ACCEPTED_MAX_LEN
+    too_long = "x" * (core._ACCEPTED_MAX_LEN + 1)
+    assert is_valid_actor(longest) is is_valid_actor(too_long) is True
+    assert longest in core._accepted and too_long not in core._accepted
+    assert is_valid_actor(too_long) is True
+
+
+def test_is_valid_actor_memo_shared_by_threads():
+    # more threads than cores check distinct valid, invalid and impostor
+    # tokens at once; every answer stays right and the memo within its bound
+    def check(n, wrong):
+        for i in range(core._ACCEPTED_MAX):
+            for token in (f"u{n}.{i}", f"u{n} {i}", _Impostor(f" {i}"), "a"):
+                if is_valid_actor(token) is not actor_rule(token):
+                    wrong.append(token)
+
+    wrong = []
+    threads = [threading.Thread(target=check, args=(n, wrong)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(core._accepted) <= core._ACCEPTED_MAX
+    assert all(type(token) is str and actor_rule(token) for token in core._accepted)
 
 
 # --- equal -------------------------------------------------------------------
