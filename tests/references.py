@@ -1,12 +1,16 @@
-"""Test oracles written independently of the library code they check.
+"""Test oracles written independently of the library code they check, and
+the helpers the test modules share.
 
 The compare, merge and prune rules are vcbench/reference.py's, on sys.path
 through conftest.py; their adapters here only convert the library's types.
+The helpers are `spy`, which pins the calls made through a module global,
+`vc`, `OVERLONG` and `SCENARIOS`.
 """
 
 import random
 import re
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 import reference
 from reference import dict_to_entries, entries_to_dict
@@ -21,6 +25,36 @@ from vclock.codec import (
 )
 from vclock.core import ClockEntry, InvalidActorError, Ordering, PruneBounds, VClock, is_valid_actor
 from vclock.oracle import Violation
+
+# the shipped scenario scripts, scenarios/*.txt
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# one past CPython's default limit on the digits int() converts from a
+# string, which is also the codec's and the scenario parser's MAX_DIGITS
+OVERLONG = "1" * 4301
+
+
+def vc(*triples) -> VClock:
+    """The clock holding the given (actor, count, timestamp) triples."""
+    return VClock(triples)
+
+
+def spy(patcher, owners, name: str) -> list[tuple]:
+    """Wrap owners[0].<name> at every owner, through patcher.setattr.
+
+    Each call is forwarded, and its positional arguments are appended to
+    the returned list. patcher is monkeypatch, or a MonkeyPatch.context().
+    """
+    original = getattr(owners[0], name)
+    calls = []
+
+    def forward(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        patcher.setattr(owner, name, forward)
+    return calls
 
 
 def outcome(build, arg):

@@ -7,7 +7,6 @@ PASS/FAIL lines. Every tolerance is pinned here; the suites are exact
 
 import random
 import time
-from pathlib import Path
 
 from vclock.codec import natural_to_peano, peano_cost, peano_to_natural
 from vclock.core import (
@@ -30,9 +29,7 @@ from vclock.core import (
 from vclock.oracle import build_history, check_equivalence, enumerate_histories, random_history
 from vclock.simulator import load_scenario, run_scenario
 
-from references import prune_reference, random_clock
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from references import SCENARIOS, prune_reference, random_clock
 
 LAW_SUITE_BUDGET_SECONDS = 5.0
 ORACLE_BUDGET_SECONDS = 60.0
@@ -266,13 +263,13 @@ def test_simulator_determinism_and_convergence():
         "byte-identically, reports reproduce byte-for-byte"
     )
     with _criterion(name):
-        concurrent = load_scenario(str(SCENARIO_DIR / "concurrent_write.txt"))
+        concurrent = load_scenario(str(SCENARIOS / "concurrent_write.txt"))
         report = run_scenario(concurrent)
         assert report.ok
         assert report.stores["r2"]["k"] == report.stores["r1"]["k"]
         assert len(report.stores["r2"]["k"]) == 2
 
-        causal = load_scenario(str(SCENARIO_DIR / "causal_overwrite.txt"))
+        causal = load_scenario(str(SCENARIOS / "causal_overwrite.txt"))
         report = run_scenario(causal)
         assert report.ok
         assert len(report.stores["r1"]["k"]) == 1

@@ -16,6 +16,8 @@ from vclock.cli import main
 from vclock.codec import MAX_DIGITS
 from vclock.oracle import check_equivalence, enumerate_histories
 
+from references import OVERLONG, SCENARIOS, spy
+
 GOOD_SCENARIO = """\
 replicas r1 r2
 update r1 k v1
@@ -55,7 +57,7 @@ def test_clock_descends_prints_lowercase_booleans(capsys):
 
 
 def test_clock_compare_overlong_count_exits_two(capsys):
-    assert main(["clock", "compare", "a:" + "1" * 4301 + ":1", "a:1:1"]) == 2
+    assert main(["clock", "compare", f"a:{OVERLONG}:1", "a:1:1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -205,7 +207,7 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
     assert "unknown replica" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["\u00b2", "1" * 4301], ids=["superscript", "overlong"])
+@pytest.mark.parametrize("bound", ["\u00b2", OVERLONG], ids=["superscript", "overlong"])
 def test_run_bad_bound_digits_exit_two(tmp_path, capsys, bound):
     path = tmp_path / "s.txt"
     path.write_text(f"replicas r1\nbounds {bound} 1 0 0\n", encoding="utf-8")
@@ -258,15 +260,8 @@ def test_run_goes_through_the_module_run_scenario(monkeypatch, capsys):
     from vclock import cli, simulator
 
     assert "run_scenario" in cli.__dict__
-    calls = []
-    forward = cli.run_scenario
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_scenario", wrapper)
-    for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt")):
+    calls = spy(monkeypatch, [cli], "run_scenario")
+    for path in sorted(SCENARIOS.glob("*.txt")):
         for flags in ([], ["--no-collapse"]):
             calls.clear()
             code = main(["run", str(path), *flags])
@@ -405,7 +400,7 @@ def test_readme_clock_examples_print_what_their_comments_say(capsys):
 _GOOD_CLOCKS = ["-", "a:1:1", "a:2:10;b:1:5", "b:1:5;a:2:10"]
 _BAD_CLOCKS = [
     "a:x:1", "a:0:1", "a b:1:1", "a:1", "", "a:1:1;a:2:2", "a:\u00b2:1", "\u00e9:1:1",
-    "a:" + "1" * 4301 + ":1", "a:1:2;;",
+    f"a:{OVERLONG}:1", "a:1:2;;",
 ]
 # a drawn token never starts with "-" unless it is "-": argparse would read it as an option
 _token = st.text(alphabet="ab:;-019 \u00e9", max_size=10).filter(

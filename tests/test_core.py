@@ -44,15 +44,11 @@ from vclock.oracle import EventRecord, History
 from vclock.simulator import Command, RunReport, Scenario
 
 import reference
-from references import outcome, random_clock, vclock_entries_reference
+from references import SCENARIOS, outcome, random_clock, spy, vc, vclock_entries_reference
 
 
 def counts(v: VClock) -> dict[str, int]:
     return {e.actor: e.count for e in v.entries}
-
-
-def vc(*triples: tuple[str, int, int]) -> VClock:
-    return VClock(triples)
 
 
 # --- fresh ------------------------------------------------------------------
@@ -262,14 +258,7 @@ def test_descends_is_reflexive():
 
 def test_compare_descends_and_equal_make_one_kernel_comparison(monkeypatch):
     # descends and equal read compare_entries' code, through the module global
-    calls = []
-    compare_entries = kernels.compare_entries
-
-    def counting(a, b):
-        calls.append((a, b))
-        return compare_entries(a, b)
-
-    monkeypatch.setattr(kernels, "compare_entries", counting)
+    calls = spy(monkeypatch, [kernels], "compare_entries")
     v1, v2 = vc(("a", 2, 0), ("b", 1, 0)), vc(("a", 1, 0))
     for op, expected in ((compare, Ordering.DESCENDS), (descends, True), (equal, False)):
         calls.clear()
@@ -766,7 +755,7 @@ def test_importing_the_library_loads_no_dataclasses():
 
 def test_the_cli_loads_the_oracle_only_to_check():
     # each subcommand loads the modules it runs, and no others, when it runs
-    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios", "causal_overwrite.txt")
+    scenario = str(SCENARIOS / "causal_overwrite.txt")
     script = (
         "import contextlib, io, sys\n"
         "import vclock.cli\n"

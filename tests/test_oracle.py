@@ -5,7 +5,6 @@ import hashlib
 import random
 import sys
 import time
-from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from vclock import _kernels_py, core, oracle
 from vclock.cli import main
-from vclock.core import InvalidActorError, Ordering, PruneBounds, VClock, equal, get_counter
+from vclock.core import InvalidActorError, Ordering, PruneBounds, equal, get_counter
 from vclock.oracle import (
     MAX_ENUM_ACTORS,
     MAX_ENUM_EVENTS,
@@ -31,11 +30,7 @@ from vclock.oracle import (
     replay_clocks,
 )
 
-from references import check_equivalence_reference
-
-
-def vc(*triples):
-    return VClock(triples)
+from references import check_equivalence_reference, spy, vc
 
 
 # --- happened_before ---------------------------------------------------------
@@ -156,19 +151,12 @@ def test_build_history_refuses_a_received_from_that_is_not_an_int(received_from)
 
 def test_build_history_validates_each_step_once(monkeypatch):
     steps = steps_of(random_history(3, 400, 8))
-    calls = []
-    is_valid_actor = core.is_valid_actor
-
-    def counting(token):
-        calls.append(token)
-        return is_valid_actor(token)
-
-    monkeypatch.setattr(core, "is_valid_actor", counting)
+    calls = spy(monkeypatch, [core], "is_valid_actor")
     build_history(steps)
     # build_history checks each of the 400 steps' actors before replaying,
     # and core.increment checks its actor again on every one of the 400 events
     assert len(calls) == 400 + 400
-    assert sorted(set(calls)) == [actor_name(i) for i in range(8)]
+    assert sorted(set(calls)) == [(actor_name(i),) for i in range(8)]
 
 
 def test_build_history_reads_its_steps_once():
@@ -248,30 +236,30 @@ def test_extension_raises_the_same_errors():
         build_history((("c", None), ("c", 2)), base=base)
 
 
-def test_extension_validates_every_step_before_replaying_any():
+def test_extension_validates_every_step_before_replaying_any(monkeypatch):
     base = build_history((("a", None),))
-    with patch.object(oracle.core, "increment", wraps=oracle.core.increment) as increment:
-        with pytest.raises(InvalidActorError):
-            build_history((("b", 0), ("c", None), ("", None)), base=base)
-        with pytest.raises(ValueError, match="own actor"):
-            build_history((("b", 0), ("b", 1)), base=base)
-    assert increment.call_count == 0
+    increments = spy(monkeypatch, [core], "increment")
+    with pytest.raises(InvalidActorError):
+        build_history((("b", 0), ("c", None), ("", None)), base=base)
+    with pytest.raises(ValueError, match="own actor"):
+        build_history((("b", 0), ("b", 1)), base=base)
+    assert increments == []
 
 
-def test_build_history_refuses_a_prune_at_that_is_not_a_mapping():
+def test_build_history_refuses_a_prune_at_that_is_not_a_mapping(monkeypatch):
     # a list's `in` tests its values, so [b, b, b] used to prune no event
     bounds = PruneBounds(small=0, large=0, young=0, old=0)
     steps = (("a", None), ("b", 0), ("a", 1))
     h = build_history(steps)
     message = "prune_at must be a mapping of event ids to PruneBounds, got list"
-    with patch.object(oracle.core, "increment", wraps=oracle.core.increment) as increment:
-        with pytest.raises(TypeError) as raised:
-            build_history(steps, [bounds] * 3)
-        assert str(raised.value) == message
-        with pytest.raises(TypeError) as raised:
-            replay_clocks(h, [bounds] * 3)
-        assert str(raised.value) == message
-    assert increment.call_count == 0
+    increments = spy(monkeypatch, [core], "increment")
+    with pytest.raises(TypeError) as raised:
+        build_history(steps, [bounds] * 3)
+    assert str(raised.value) == message
+    with pytest.raises(TypeError) as raised:
+        replay_clocks(h, [bounds] * 3)
+    assert str(raised.value) == message
+    assert increments == []
 
 
 # --- check_equivalence ---------------------------------------------------------
@@ -401,15 +389,10 @@ def test_check_calls_the_kernel_once_per_checked_pair(case):
     entry_seqs = [ev.clock.entries for ev in h.events]
     index = {id(entries): k for k, entries in enumerate(entry_seqs)}
     assert len(index) == len(h)  # every snapshot's entries are a distinct object
-    compare_entries = _kernels_py.compare_entries
-    calls = []
-
-    def recording(a, b):
-        calls.append((index[id(a)], index[id(b)]))
-        return compare_entries(a, b)
-
-    with patch.object(_kernels_py, "compare_entries", recording):
+    with pytest.MonkeyPatch.context() as patcher:
+        pairs = spy(patcher, [_kernels_py], "compare_entries")
         check_equivalence(h, since=since)
+    calls = [(index[id(a)], index[id(b)]) for a, b in pairs]
     n = len(h)
     assert len(calls) == n * (n - 1) // 2 - since * (since - 1) // 2
     # every checked pair once, in (earlier, later) argument order; any call order
@@ -508,15 +491,10 @@ def test_built_records_equal_constructor_built_ones():
 
 def test_check_enumerated_calls_the_module_globals_once_per_history(monkeypatch):
     # a tracer wraps these two module globals; each history must reach both
-    calls = dict.fromkeys(("build_history", "check_equivalence"), 0)
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(oracle, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, name, counting)
+    builds = spy(monkeypatch, [oracle], "build_history")
+    checks = spy(monkeypatch, [oracle], "check_equivalence")
     assert sum(1 for _ in check_enumerated(5, 3)) == 1913
-    assert calls == {"build_history": 1913, "check_equivalence": 1913}
+    assert len(builds) == len(checks) == 1913
 
 
 def test_enumeration_budget_is_enforced_eagerly():

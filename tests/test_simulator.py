@@ -33,15 +33,11 @@ from vclock.simulator import (
 )
 
 import reference
-from references import prune_reference
+from references import OVERLONG, SCENARIOS, prune_reference, spy, vc
 
 
 def run_text(text: str, collapse: bool = True):
     return run_scenario(parse_scenario(text), collapse=collapse)
-
-
-def vc(*triples):
-    return VClock(triples)
 
 
 # --- parsing -------------------------------------------------------------------
@@ -113,12 +109,11 @@ def test_numeric_tokens_must_be_ascii_digits():
 
 
 def test_overlong_numeric_tokens_rejected():
-    overlong = "1" * 4301
     with pytest.raises(ScenarioError, match="line 2: bound has too many digits"):
-        parse_scenario(f"replicas r1\nbounds {overlong} 1 0 0\n")
+        parse_scenario(f"replicas r1\nbounds {OVERLONG} 1 0 0\n")
     with pytest.raises(ScenarioError, match="line 3: sibling index has too many digits"):
         parse_scenario(
-            f"replicas r1\nupdate r1 k v\nexpect compare r1 k 0 {overlong} Equal\n"
+            f"replicas r1\nupdate r1 k v\nexpect compare r1 k 0 {OVERLONG} Equal\n"
         )
 
 
@@ -163,7 +158,6 @@ def test_only_newlines_end_a_line(blank):
     assert str(raised.value) == "line 3: key 'q' is never written before this line"
 
 
-OVERLONG = "1" * 4301
 WRITTEN = "replicas r1 r2\nupdate r1 k v\n"
 
 
@@ -360,17 +354,10 @@ def test_parse_validates_each_declared_or_new_name_once(monkeypatch):
         line for line in seeded_script(1).splitlines(keepends=True)
         if not line.startswith("expect clock")
     )
-    calls = []
-
-    def counting(token):
-        calls.append(token)
-        return is_valid_actor(token)
-
-    is_valid_actor = core.is_valid_actor
-    monkeypatch.setattr(core, "is_valid_actor", counting)
+    calls = spy(monkeypatch, [core], "is_valid_actor")
     scenario = parse_scenario(script)
     keys = {_key_of(cmd) for cmd in scenario.commands}
-    assert sorted(calls) == sorted([*scenario.replicas, *keys])
+    assert sorted(calls) == sorted((name,) for name in [*scenario.replicas, *keys])
     assert len(calls) == 8 + 32
 
 
@@ -425,7 +412,7 @@ def test_parsed_commands_are_pinned(name):
     if name == "seeded":
         text = seeded_script(0)
     else:
-        text = (SCENARIO_DIR / f"{name}.txt").read_text(encoding="utf-8")
+        text = (SCENARIOS / f"{name}.txt").read_text(encoding="utf-8")
     commands = parse_scenario(text).commands
     assert all(type(cmd) is Command for cmd in commands)
     assert hashlib.sha256(repr(commands).encode()).hexdigest() == _COMMANDS_SHA256[name]
@@ -646,13 +633,7 @@ def test_integrate_equals_the_two_pass_rule(existing, incoming):
 
 
 def test_integrate_compares_each_stored_incoming_pair_once(monkeypatch):
-    compared = []
-
-    def recording(v1, v2):
-        compared.append(tuple(sorted((canonical_text(v1), canonical_text(v2)))))
-        return compare(v1, v2)
-
-    monkeypatch.setattr(core, "compare", recording)
+    calls = spy(monkeypatch, [core], "compare")
     x, y, z = (Sibling(v, vc((a, 2, 0))) for v, a in (("x", "a"), ("y", "b"), ("z", "c")))
     joins = Sibling("u", vc(("d", 1, 0)))  # concurrent with x, y and z
     dominates = Sibling("w", vc(("a", 3, 0), ("b", 2, 0)))  # replaces x and y
@@ -661,6 +642,7 @@ def test_integrate_compares_each_stored_incoming_pair_once(monkeypatch):
     assert result == two_pass_integrate([x, y, z], [joins, dominates, covered])
     assert result == [dominates, z, joins]
     # 3 pairs for u, 4 for w against [x, y, z, u], 1 for v against z
+    compared = [tuple(sorted(map(canonical_text, pair))) for pair in calls]
     assert len(compared) == 8
     assert len(set(compared)) == len(compared)
 
@@ -847,11 +829,16 @@ def test_sibling_order_is_canonical_in_reports():
     assert read_line.index("v1@") < read_line.index("v2@")
 
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-SHIPPED_SCENARIOS = [
-    "causal_overwrite", "concurrent_write", "prune_false_concurrency", "prune_lost_write"
-]
+SHIPPED_SCENARIOS = sorted(p.stem for p in SCENARIOS.glob("*.txt"))
+
+
+def test_goldens_pair_with_scenarios():
+    # each shipped scenario has both reports, and each report names a scenario
+    want = {f"{name}{suffix}.txt" for name in SHIPPED_SCENARIOS for suffix in ("", ".no-collapse")}
+    have = {p.name for p in GOLDEN_DIR.glob("*.txt")}
+    assert sorted(want - have) == [], "scenarios without a golden report"
+    assert sorted(have - want) == [], "golden reports without a scenario"
 
 
 @pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "no-collapse"])
@@ -859,14 +846,14 @@ SHIPPED_SCENARIOS = [
 def test_shipped_scenario_reports_match_golden(name, collapse):
     suffix = "" if collapse else ".no-collapse"
     golden = (GOLDEN_DIR / f"{name}{suffix}.txt").read_text(encoding="utf-8")
-    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.txt"))
+    scenario = load_scenario(str(SCENARIOS / f"{name}.txt"))
     assert run_scenario(scenario, collapse=collapse).text == golden
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
 @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
 def test_shipped_scenarios_read_the_same_with_crlf_and_cr_endings(name, ending, tmp_path):
-    data = (SCENARIO_DIR / f"{name}.txt").read_bytes()
+    data = (SCENARIOS / f"{name}.txt").read_bytes()
     path = tmp_path / f"{name}.txt"
     path.write_bytes(data.replace(b"\n", ending.encode()))
     scenario = load_scenario(str(path))
@@ -878,7 +865,7 @@ def test_shipped_scenarios_read_the_same_with_crlf_and_cr_endings(name, ending, 
 @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
 def test_shipped_scenarios_read_the_same_after_a_byte_order_mark(name, tmp_path):
     path = tmp_path / f"{name}.txt"
-    path.write_bytes(codecs.BOM_UTF8 + (SCENARIO_DIR / f"{name}.txt").read_bytes())
+    path.write_bytes(codecs.BOM_UTF8 + (SCENARIOS / f"{name}.txt").read_bytes())
     scenario = load_scenario(str(path))
     for collapse, suffix in ((True, ""), (False, ".no-collapse")):
         golden = (GOLDEN_DIR / f"{name}{suffix}.txt").read_text(encoding="utf-8")
