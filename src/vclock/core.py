@@ -123,11 +123,6 @@ _actor_of = itemgetter(0)
 _age_of = itemgetter(2, 0)  # (timestamp, actor): prune's oldest-first order
 
 
-def _require_actor(token: str) -> None:
-    if not is_valid_actor(token):
-        raise InvalidActorError(f"invalid actor token: {token!r}")
-
-
 def _malformed_entry(entry: object) -> Exception:
     # VClock's error path for an entry that is not a sequence of three: a
     # tuple or list of another length and a non-iterable are named by the
@@ -288,10 +283,17 @@ class VClock(_Immutable):
         return f"VClock({text!r})"
 
 
+# fast path for entries already canonical, skipping __init__ validation: a
+# bare instance, then the entries slot stored past __setattr__. increment and
+# merge inline these two steps to save _wrap's frame, since the oracle's
+# replay calls increment once per event and merge once per received message.
+_new_object = object.__new__
+_set_entries = VClock.entries.__set__
+
+
 def _wrap(entries: tuple[ClockEntry, ...]) -> VClock:
-    # fast path for entries already canonical; skips __init__ validation
-    v = object.__new__(VClock)
-    object.__setattr__(v, "entries", entries)
+    v = _new_object(VClock)
+    _set_entries(v, entries)
     return v
 
 
@@ -389,18 +391,22 @@ def increment(actor: str, v: VClock, clock: ClockSource) -> VClock:
     A new actor enters with count 1; an existing actor's count rises by one.
     Either way the entry's timestamp becomes clock.now().
     """
-    _require_actor(actor)
+    if not is_valid_actor(actor):
+        raise InvalidActorError(f"invalid actor token: {actor!r}")
     now = clock.now()
     if not isinstance(now, int) or now < 0:
         raise ValueError(f"clock source produced a bad timestamp: {now!r}")
-    now = int(now)
+    if type(now) is not int:
+        now = int(now)
     entries = v.entries
     i = bisect_left(entries, actor, key=_actor_of)
     if i < len(entries) and entries[i][0] == actor:
         count, rest = entries[i][1] + 1, entries[i + 1 :]
     else:
         count, rest = 1, entries[i:]
-    return _wrap(entries[:i] + (_new_tuple(ClockEntry, (actor, count, now)),) + rest)
+    result = _new_object(VClock)
+    _set_entries(result, entries[:i] + (_new_tuple(ClockEntry, (actor, count, now)),) + rest)
+    return result
 
 
 def equal(v1: VClock, v2: VClock) -> bool:
@@ -432,7 +438,9 @@ def merge(v1: VClock, v2: VClock, clock: ClockSource | None = None) -> VClock:
         return v2
     if not v2.entries:
         return v1
-    return _wrap(kernels.merge_entries(v1.entries, v2.entries))
+    result = _new_object(VClock)
+    _set_entries(result, kernels.merge_entries(v1.entries, v2.entries))
+    return result
 
 
 def get_counter(actor: str, v: VClock) -> int:

@@ -149,7 +149,8 @@ def build_history(
     events = list(base.events) if base is not None else []
     start = len(events)
     for i, (actor, received_from) in enumerate(steps, start):
-        core._require_actor(actor)
+        if not core.is_valid_actor(actor):
+            raise core.InvalidActorError(f"invalid actor token: {actor!r}")
         if received_from is not None:
             is_id = isinstance(received_from, int) and not isinstance(received_from, bool)
             if not (is_id and 0 <= received_from < i):
@@ -197,15 +198,17 @@ def replay_clocks(
     return {ev.id: ev.clock for ev in build_history(steps, prune_at).events}
 
 
-def _ancestor_masks(h: History) -> list[int]:
-    """Bitmask per event of every event in its causal past."""
+def _masks_and_rows(h: History) -> tuple[list[int], list[tuple[core.ClockEntry, ...]]]:
+    """Per event, in one pass: a bitmask of its causal past, and its clock's entries."""
     masks = [0] * len(h.events)
+    rows = []
     for ev in h.events:
         m = 0
         for p in ev.predecessors:
             m |= masks[p] | (1 << p)
         masks[ev.id] = m
-    return masks
+        rows.append(ev.clock.entries)
+    return masks, rows
 
 
 def happened_before(h: History, e1: int, e2: int) -> bool:
@@ -216,7 +219,7 @@ def happened_before(h: History, e1: int, e2: int) -> bool:
             raise ValueError(f"unknown event id: {e!r}")
     if e1 == e2:
         return False
-    return bool(_ancestor_masks(h)[e2] >> e1 & 1)
+    return bool(_masks_and_rows(h)[0][e2] >> e1 & 1)
 
 
 def check_equivalence(h: History, *, since: int = 0) -> list[Violation]:
@@ -243,8 +246,7 @@ def check_equivalence(h: History, *, since: int = 0) -> list[Violation]:
     n = len(h.events)
     if isinstance(since, bool) or not isinstance(since, int) or not 0 <= since <= n:
         raise ValueError(f"since must be an int in 0..{n}, got {since!r}")
-    masks = _ancestor_masks(h)
-    entry_seqs = [ev.clock.entries for ev in h.events]
+    masks, entry_seqs = _masks_and_rows(h)
     compare_entries = kernels.compare_entries
     violations: list[Violation] = []
     for j in range(since, n):
@@ -327,7 +329,7 @@ def check_enumerated(
     reports: list[list[Violation]] = [[]]
 
     def checked(history: History) -> tuple[History, list[Violation]]:
-        n = len(history)
+        n = len(history.events)
         report = reports[n - 1] + check_equivalence(history, since=n - 1)
         reports[n:] = [report]
         return history, report.copy()

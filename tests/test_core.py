@@ -93,19 +93,39 @@ def test_increment_counts_events_per_actor():
 
 def test_increment_rejects_bad_actor():
     for bad in ("", "a b", "a:b", "a;b", "\t", "x\n"):
-        with pytest.raises(InvalidActorError):
+        with pytest.raises(InvalidActorError) as raised:
             increment(bad, fresh(), FixedClock(0))
+        assert str(raised.value) == f"invalid actor token: {bad!r}"
 
 
-@pytest.mark.parametrize("now", [-1, 1.5, "x"])
+class _Tick(enum.IntEnum):
+    BEHIND = -1
+    SEVEN = 7
+
+
+class _Returns:
+    """A clock source whose now() returns one value as it is, unchecked."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def now(self):
+        return self.value
+
+
+@pytest.mark.parametrize("now", [-1, 1.5, "x", pytest.param(_Tick.BEHIND, id="int-enum")])
 def test_increment_rejects_a_bad_clock_source_timestamp(now):
-    class Source:
-        def now(self):
-            return now
-
     with pytest.raises(ValueError) as info:
-        increment("a", fresh(), Source())
+        increment("a", fresh(), _Returns(now))
     assert str(info.value) == f"clock source produced a bad timestamp: {now!r}"
+
+
+@pytest.mark.parametrize(
+    "now, stored", [(5, 5), (True, 1), (_Tick.SEVEN, 7)], ids=["int", "bool", "int-enum"]
+)
+def test_increment_stores_a_timestamp_as_an_exact_int(now, stored):
+    (entry,) = increment("a", fresh(), _Returns(now)).entries
+    assert type(entry.timestamp) is int and entry.timestamp == stored
 
 
 def actor_rule(token) -> bool:

@@ -223,7 +223,7 @@ def test_extension_continues_ids_and_actor_order():
 
 def test_extension_raises_the_same_errors():
     base = build_history((("a", None), ("b", 0)))
-    with pytest.raises(InvalidActorError):
+    with pytest.raises(InvalidActorError, match=r"^invalid actor token: 'a b'$"):
         build_history((("a b", None),), base=base)
     with pytest.raises(ValueError, match="event 2 receives from 2, which is not an earlier"):
         build_history((("c", 2),), base=base)
