@@ -4,9 +4,10 @@ An entry sequence is a tuple of (actor, count, timestamp) triples sorted by
 actor with no duplicate actors. These functions are the hot inner loops of
 clock comparison. :func:`compare_entries` is the one comparison kernel, a
 walk in two phases: phase 1 steps through both sequences while they are
-equal, and their first difference says which side is behind; phase 2 then
-looks only for the other direction, and returns ``CONCURRENT`` where it
-finds it. :func:`descends_entries` and :func:`equal_entries` read its code,
+equal, and their first difference says which side is behind; phase 2 swaps
+the two sides when ``b`` is the one behind, so that one loop, looking only for
+the other direction, serves both, and returns ``CONCURRENT`` where it finds
+it. :func:`descends_entries` and :func:`equal_entries` read its code,
 calling it through this module's global, so a patched ``compare_entries``
 sees every comparison. A clock's entries are :class:`ClockEntry` triples,
 and on such inputs :func:`merge_entries` returns only :class:`ClockEntry`
@@ -72,40 +73,30 @@ def compare_entries(a, b):
             a_behind = True
             j = i + 1
             break
-    # phase 2: one side is behind; only the other direction is still open
-    if a_behind:
-        # DOMINATED unless a exceeds b somewhere
-        while i < na and j < nb:
-            ea = a[i]
-            eb = b[j]
-            actor_a = ea[0]
-            actor_b = eb[0]
-            if actor_a == actor_b:
-                if ea[1] > eb[1]:
-                    return CONCURRENT
-                i += 1
-                j += 1
-            elif actor_a < actor_b:
-                return CONCURRENT
-            else:
-                j += 1
-        return CONCURRENT if i < na else DOMINATED
-    # DESCENDS unless b exceeds a somewhere
+    # phase 2: one side is behind and only the other direction is still
+    # open; orient the pair so that a is the side behind
+    if not a_behind:
+        a, b = b, a
+        i, j = j, i
+        na, nb = nb, na
+    # behind unless a exceeds b somewhere
     while i < na and j < nb:
         ea = a[i]
         eb = b[j]
         actor_a = ea[0]
         actor_b = eb[0]
         if actor_a == actor_b:
-            if ea[1] < eb[1]:
+            if ea[1] > eb[1]:
                 return CONCURRENT
             i += 1
             j += 1
         elif actor_a < actor_b:
-            i += 1
-        else:
             return CONCURRENT
-    return CONCURRENT if j < nb else DESCENDS
+        else:
+            j += 1
+    if i < na:
+        return CONCURRENT
+    return DOMINATED if a_behind else DESCENDS
 
 
 def descends_entries(a, b):

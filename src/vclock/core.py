@@ -284,20 +284,15 @@ class VClock(_Immutable):
 
 
 # fast path for entries already canonical, skipping __init__ validation: a
-# bare instance, then the entries slot stored past __setattr__. increment and
-# merge inline these two steps to save _wrap's frame, since the oracle's
-# replay calls increment once per event and merge once per received message.
+# bare instance, then the entries slot stored past __setattr__. increment,
+# merge, prune and _EMPTY take these two steps in their own frame, with no
+# helper call, since the oracle's replay calls increment once per event and
+# merge once per received message.
 _new_object = object.__new__
 _set_entries = VClock.entries.__set__
 
-
-def _wrap(entries: tuple[ClockEntry, ...]) -> VClock:
-    v = _new_object(VClock)
-    _set_entries(v, entries)
-    return v
-
-
-_EMPTY = _wrap(())
+_EMPTY = _new_object(VClock)
+_set_entries(_EMPTY, ())
 
 
 class ClockSource(Protocol):
@@ -471,7 +466,8 @@ def prune(v: VClock, now: int, bounds: PruneBounds) -> VClock:
     oldest entry is removed while all of the following hold for the current
     state: more than `small` entries remain; the clock is over `large`
     entries or the entry is older than now - old; and the entry is older
-    than now - young. Survivors keep their counts and timestamps.
+    than now - young. Survivors keep their counts and timestamps. A clock
+    that loses no entry is returned as itself.
     """
     if not isinstance(bounds, PruneBounds):
         raise TypeError(f"prune bounds must be a PruneBounds, got {type(bounds).__name__}")
@@ -495,8 +491,9 @@ def prune(v: VClock, now: int, bounds: PruneBounds) -> VClock:
         size -= 1
     if idx == 0:
         return v
-    survivors = sorted(by_age[idx:], key=_actor_of)
-    return _wrap(tuple(survivors))
+    result = _new_object(VClock)
+    _set_entries(result, tuple(sorted(by_age[idx:], key=_actor_of)))
+    return result
 
 
 def canonical_text(v: VClock) -> str:

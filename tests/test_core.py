@@ -391,6 +391,13 @@ def test_prune_small_floor_leaves_clock_alone():
     assert prune(v, 1000, bounds) is v
 
 
+def test_prune_that_removes_nothing_above_the_small_floor_returns_the_clock():
+    # above the floor, but every entry is younger than now - young
+    v = vc(("a", 1, 950), ("b", 1, 960), ("c", 1, 970))
+    bounds = PruneBounds(small=1, large=10, young=100, old=500)
+    assert prune(v, 1000, bounds) is v
+
+
 def test_prune_all_older_than_old_shrinks_to_small():
     v = aged_clock(list(range(1, 13)))  # 12 entries, all far older than now - old
     bounds = PruneBounds(small=2, large=10, young=0, old=500)

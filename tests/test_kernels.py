@@ -74,7 +74,8 @@ def test_kernels_agree_with_the_reference_on_related_pairs(pair):
 def test_comparison_kernels_agree_with_the_reference_on_every_small_pair():
     # every canonical sequence over actors a-d with each count absent, 1 or 2:
     # 81 sequences, 6,561 ordered pairs, which reach every exit of both of
-    # compare_entries' phases
+    # compare_entries' phases, each exit of phase 2 with the pair swapped and
+    # not swapped
     sequences = [
         tuple(ClockEntry(actor, count, 3 - count) for actor, count in zip("abcd", counts) if count)
         for counts in product((0, 1, 2), repeat=4)
